@@ -213,54 +213,40 @@ def lp1_is_valid(g: Graph, p: int, labels: dict) -> ValidationReport:
 # --- transport along an incidence map ---------------------------------------
 
 
+def _to_derived(im: IncidenceMap, values: dict, copy) -> dict:
+    """Re-key values by derived vertex. The i-th element of the base graph, in
+    element order, is derived vertex i: incidence_graph keeps every vertex
+    index and numbers the subdivision vertex of the j-th sorted edge n+j."""
+    position = {x: i for i, x in enumerate(elements_of(im.base))}
+    return {position[x]: copy(value) for x, value in values.items()}
+
+
+def _to_base(im: IncidenceMap, values: dict, copy) -> dict:
+    elems = elements_of(im.base)
+    out: dict = {}
+    for w, value in values.items():
+        if not (isinstance(w, int) and 0 <= w < len(elems)):
+            raise ValueError(f"derived vertex {w} has no preimage")
+        out[elems[w]] = copy(value)
+    return out
+
+
 def transport_labelling(im: IncidenceMap, labelling: dict) -> dict:
     """Carry element colors of the base graph onto derived vertices."""
-    out = {}
-    for x, color in labelling.items():
-        if isinstance(x, Vertex):
-            out[im.vertex_image[x.v]] = color
-        else:
-            out[im.edge_image[(x.u, x.v)]] = color
-    return out
+    return _to_derived(im, labelling, lambda color: color)
 
 
 def pull_back_labelling(im: IncidenceMap, labels: dict) -> dict:
     """Inverse of transport_labelling; together they form a bijection."""
-    vert_of = {w: v for v, w in im.vertex_image.items()}
-    edge_of = {w: e for e, w in im.edge_image.items()}
-    out: dict = {}
-    for w, color in labels.items():
-        if w in vert_of:
-            out[Vertex(vert_of[w])] = color
-        elif w in edge_of:
-            out[Edge(*edge_of[w])] = color
-        else:
-            raise ValueError(f"derived vertex {w} has no preimage")
-    return out
+    return _to_base(im, labels, lambda color: color)
 
 
 def transport_lists(im: IncidenceMap, lists: dict) -> dict:
-    out = {}
-    for x, colors in lists.items():
-        if isinstance(x, Vertex):
-            out[im.vertex_image[x.v]] = set(colors)
-        else:
-            out[im.edge_image[(x.u, x.v)]] = set(colors)
-    return out
+    return _to_derived(im, lists, set)
 
 
 def pull_back_lists(im: IncidenceMap, vlists: dict) -> dict:
-    vert_of = {w: v for v, w in im.vertex_image.items()}
-    edge_of = {w: e for e, w in im.edge_image.items()}
-    out: dict = {}
-    for w, colors in vlists.items():
-        if w in vert_of:
-            out[Vertex(vert_of[w])] = set(colors)
-        elif w in edge_of:
-            out[Edge(*edge_of[w])] = set(colors)
-        else:
-            raise ValueError(f"derived vertex {w} has no preimage")
-    return out
+    return _to_base(im, vlists, set)
 
 
 # --- list-assignment helpers -------------------------------------------------
@@ -299,10 +285,37 @@ def labelling_to_json(p: int, labelling: dict) -> str:
     return json.dumps({"p": p, "labels": ordered}, indent=2) + "\n"
 
 
+_JSON_KINDS = {dict: "an object", list: "an array", int: "an integer", str: "a string",
+               bool: "true or false"}
+
+
+def _json_loads(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input nests too deeply") from None
+
+
+def _json_check(value, kind: type, what: str):
+    """Return value if it has the JSON type kind (true/false is no integer here);
+    otherwise raise ValueError naming what was expected."""
+    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {json.dumps(value)[:40]}")
+
+
+def _json_colors(value, name: str) -> set[int]:
+    colors = _json_check(value, list, f"list of {name}")
+    return {_json_check(c, int, f"color of {name}") for c in colors}
+
+
 def labelling_from_json(text: str) -> tuple[int, dict]:
-    obj = json.loads(text)
-    p = int(obj["p"])
-    labelling = {element_from_name(k): int(c) for k, c in obj["labels"].items()}
+    obj = _json_check(_json_loads(text), dict, "labelling file")
+    p = _json_check(obj["p"], int, "p")
+    labels = _json_check(obj["labels"], dict, "labels")
+    labelling = {
+        element_from_name(k): _json_check(c, int, f"color of {k}") for k, c in labels.items()
+    }
     return p, labelling
 
 
@@ -314,7 +327,7 @@ def lists_to_json(p: int, lists: dict) -> str:
 
 
 def lists_from_json(text: str) -> tuple[int, dict]:
-    obj = json.loads(text)
-    p = int(obj["p"])
-    lists = {element_from_name(k): set(int(c) for c in v) for k, v in obj["lists"].items()}
-    return p, lists
+    obj = _json_check(_json_loads(text), dict, "list file")
+    p = _json_check(obj["p"], int, "p")
+    lists = _json_check(obj["lists"], dict, "lists")
+    return p, {element_from_name(k): _json_colors(v, k) for k, v in lists.items()}

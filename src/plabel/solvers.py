@@ -1,10 +1,11 @@
 """Complete backtracking solvers and choosability certificates.
 
 These are the ground-truth oracles the constructive labellers are checked
-against: a list solver with forward checking and most-constrained-element
-ordering, the minimum span computed by an upward scan, an analogous solver
-for vertex labellings with distance-two constraints, and exhaustive /
-budgeted searches over normalized list assignments.
+against. One search, with forward checking and most-constrained-element
+ordering, labels vertices with distance-two constraints; a (p,1)-total
+instance is solved as such an instance on the once-subdivided graph. On top
+of it sit the minimum span by an upward scan and exhaustive / budgeted
+searches over normalized list assignments.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ import time
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import Graph, emit_graph6, parse_graph6
+from .graphs import Graph, emit_graph6, incidence_graph, parse_graph6
 from .labelling import (
-    Edge,
-    Vertex,
+    _json_check,
+    _json_colors,
+    _json_loads,
     check_lists,
     element_from_name,
     element_key,
@@ -63,33 +65,6 @@ class SolveResult:
     @property
     def labelled(self) -> bool:
         return self.labelling is not None
-
-
-def _build_constraints(g: Graph):
-    """Element list plus, per element, its (other_index, needs_separation) pairs.
-
-    needs_separation=True means |colors| >= p (vertex against incident edge);
-    False means plain inequality (adjacent vertices, adjacent edges).
-    """
-    elems = elements_of(g)
-    index = {x: i for i, x in enumerate(elems)}
-    cons: list[list[tuple[int, bool]]] = [[] for _ in elems]
-
-    def link(a: int, b: int, sep: bool) -> None:
-        cons[a].append((b, sep))
-        cons[b].append((a, sep))
-
-    for u, v in g.sorted_edges():
-        link(index[Vertex(u)], index[Vertex(v)], False)
-    for w in range(g.n):
-        inc = [index[Edge(w, nb)] for nb in g.adj[w]]
-        for a, b in itertools.combinations(inc, 2):
-            link(a, b, False)
-    for u, v in g.sorted_edges():
-        e = index[Edge(u, v)]
-        link(index[Vertex(u)], e, True)
-        link(index[Vertex(v)], e, True)
-    return elems, cons
 
 
 def _search(domains: list[set[int]], cons, p: int):
@@ -156,23 +131,60 @@ def _search(domains: list[set[int]], cons, p: int):
     return (list(assigned) if found else None), nodes
 
 
+def _lp1_constraints(g: Graph):
+    """Per vertex of g, its (other_vertex, needs_separation) pairs.
+
+    needs_separation=True means |colors| >= p (adjacent vertices); False means
+    plain inequality (vertices at distance exactly two). Distance-two pairs
+    are linked first, so each partner list holds its inequality pairs before
+    its separation pairs. The order does not change the search; the reverse
+    order visits the same nodes, about 1% slower.
+    """
+    cons: list[list[tuple[int, bool]]] = [[] for _ in range(g.n)]
+    seen = set()
+
+    def link(a: int, b: int, sep: bool) -> None:
+        if (a, b, sep) in seen:
+            return
+        seen.add((a, b, sep))
+        seen.add((b, a, sep))
+        cons[a].append((b, sep))
+        cons[b].append((a, sep))
+
+    for w in range(g.n):
+        for a, b in itertools.combinations(g.adj[w], 2):
+            if not g.has_edge(a, b):
+                link(a, b, False)
+    for u, v in g.sorted_edges():
+        link(u, v, True)
+    return cons
+
+
+def _solve(g: Graph, p: int, domains: list[set[int]]):
+    """Vertex labelling of g from the domains: adjacent vertices >= p apart,
+    vertices at distance two distinct. Returns (assignment | None, nodes, seconds)."""
+    start = time.monotonic()
+    assignment, nodes = _search(domains, _lp1_constraints(g), p)
+    return assignment, nodes, time.monotonic() - start
+
+
 def solve_list(g: Graph, p: int, lists: dict) -> SolveResult:
     """Complete search for a list-respecting (p,1)-total labelling.
 
-    The returned labelling, when present, is re-checked against the validity
-    predicate and the lists before being handed back.
+    The search runs on the once-subdivided graph, where the i-th element of g
+    in element order is vertex i. The returned labelling, when present, is
+    re-checked against the direct validity predicate and the lists before
+    being handed back.
     """
     if p < 0:
         raise ValueError("separation p must be non-negative")
     check_lists(g, lists)
-    start = time.monotonic()
-    elems, cons = _build_constraints(g)
+    elems = elements_of(g)
     domains = [set(lists[x]) for x in elems]
-    assignment, nodes = _search(domains, cons, p)
-    seconds = time.monotonic() - start
+    assignment, nodes, seconds = _solve(incidence_graph(g).derived, p, domains)
     if assignment is None:
         return SolveResult(None, nodes, seconds)
-    labelling = {x: assignment[i] for i, x in enumerate(elems)}
+    labelling = dict(zip(elems, assignment))
     report = is_valid(g, p, labelling, total=True)
     if not report.ok or not respects_lists(labelling, lists):
         raise AssertionError(f"solver produced an invalid labelling: {report.violations}")
@@ -186,6 +198,26 @@ def solve_span(g: Graph, p: int, k: int) -> SolveResult:
     return solve_list(g, p, full_lists(g, range(k + 1)))
 
 
+def lp1_solve_span(g: Graph, p: int, k: int) -> SolveResult:
+    """Vertex labelling into {0..k}: adjacent >= p apart, distance-2 distinct."""
+    if p < 0 or k < 0:
+        raise ValueError("p and k must be non-negative")
+    assignment, nodes, seconds = _solve(g, p, [set(range(k + 1)) for _ in range(g.n)])
+    if assignment is None:
+        return SolveResult(None, nodes, seconds)
+    labels = dict(enumerate(assignment))
+    if not lp1_is_valid(g, p, labels).ok:
+        raise AssertionError("vertex-labelling solver produced an invalid labelling")
+    return SolveResult(labels, nodes, seconds)
+
+
+def _least_span(solve, g: Graph, p: int, k: int) -> int:
+    """Least span from k upward at which solve(g, p, span) finds a labelling."""
+    while not solve(g, p, k).labelled:
+        k += 1
+    return k
+
+
 def _span_lower_bound(g: Graph, p: int) -> int:
     if g.m == 0:
         return 0
@@ -197,15 +229,12 @@ def _span_lower_bound(g: Graph, p: int) -> int:
 def min_span(g: Graph, p: int) -> int:
     """Least k admitting a labelling into {0..k}, by linear scan from below.
 
-    The scan always terminates: 2*Delta + p - 1 colors suffice for any graph.
+    The scan always terminates: every graph has a labelling of span at most
+    2*Delta + p - 1.
     """
     if g.n == 0:
         raise ValueError("empty graph has no labelling number")
-    k = max(0, _span_lower_bound(g, p))
-    while True:
-        if solve_span(g, p, k).labelled:
-            return k
-        k += 1
+    return _least_span(solve_span, g, p, max(0, _span_lower_bound(g, p)))
 
 
 def min_colors(g: Graph, p: int) -> int:
@@ -213,55 +242,10 @@ def min_colors(g: Graph, p: int) -> int:
     return min_span(g, p) + 1
 
 
-# --- vertex labellings with distance-two constraints --------------------------
-
-
-def _lp1_constraints(g: Graph):
-    cons: list[list[tuple[int, bool]]] = [[] for _ in range(g.n)]
-    seen = set()
-
-    def link(a: int, b: int, sep: bool) -> None:
-        if (a, b, sep) in seen:
-            return
-        seen.add((a, b, sep))
-        seen.add((b, a, sep))
-        cons[a].append((b, sep))
-        cons[b].append((a, sep))
-
-    for u, v in g.sorted_edges():
-        link(u, v, True)
-    for w in range(g.n):
-        for a, b in itertools.combinations(g.adj[w], 2):
-            if not g.has_edge(a, b):
-                link(a, b, False)
-    return cons
-
-
-def lp1_solve_span(g: Graph, p: int, k: int) -> SolveResult:
-    """Vertex labelling into {0..k}: adjacent >= p apart, distance-2 distinct."""
-    if p < 0 or k < 0:
-        raise ValueError("p and k must be non-negative")
-    start = time.monotonic()
-    cons = _lp1_constraints(g)
-    domains = [set(range(k + 1)) for _ in range(g.n)]
-    assignment, nodes = _search(domains, cons, p)
-    seconds = time.monotonic() - start
-    if assignment is None:
-        return SolveResult(None, nodes, seconds)
-    labels = {v: assignment[v] for v in range(g.n)}
-    if not lp1_is_valid(g, p, labels).ok:
-        raise AssertionError("vertex-labelling solver produced an invalid labelling")
-    return SolveResult(labels, nodes, seconds)
-
-
 def lp1_min_span(g: Graph, p: int) -> int:
     if g.n == 0:
         raise ValueError("empty graph")
-    k = 0 if g.m == 0 else max(p, g.max_degree - 1)
-    while True:
-        if lp1_solve_span(g, p, k).labelled:
-            return k
-        k += 1
+    return _least_span(lp1_solve_span, g, p, 0 if g.m == 0 else max(p, g.max_degree - 1))
 
 
 # --- normalized-assignment enumeration ----------------------------------------
@@ -270,31 +254,25 @@ def lp1_min_span(g: Graph, p: int) -> int:
 def element_automorphisms(g: Graph, max_vertices: int = 8) -> list[tuple[int, ...]]:
     """Element-index permutations induced by graph automorphisms.
 
-    Brute force over vertex permutations; beyond max_vertices only the
-    identity is returned (enumeration callers are desk-scale anyway).
+    Element i is vertex i of the once-subdivided graph. Brute force over
+    vertex permutations; beyond max_vertices only the identity is returned
+    (enumeration callers are desk-scale anyway).
     """
-    elems = elements_of(g)
-    index = {x: i for i, x in enumerate(elems)}
-    identity = tuple(range(len(elems)))
     if g.n > max_vertices:
-        return [identity]
+        return [tuple(range(g.n + g.m))]
+    edge_index = incidence_graph(g).edge_image
+    edges = g.sorted_edges()
     perms = []
     for sigma in itertools.permutations(range(g.n)):
-        ok = True
-        for u, v in g.edges:
+        mapping = list(sigma)
+        for u, v in edges:
             su, sv = sigma[u], sigma[v]
-            if ((su, sv) if su < sv else (sv, su)) not in g.edges:
-                ok = False
+            image = edge_index.get((su, sv) if su < sv else (sv, su))
+            if image is None:
                 break
-        if not ok:
-            continue
-        mapping = []
-        for x in elems:
-            if isinstance(x, Vertex):
-                mapping.append(index[Vertex(sigma[x.v])])
-            else:
-                mapping.append(index[Edge(sigma[x.u], sigma[x.v])])
-        perms.append(tuple(mapping))
+            mapping.append(image)
+        else:
+            perms.append(tuple(mapping))
     return perms
 
 
@@ -379,25 +357,28 @@ class Certificate:
 
     @staticmethod
     def from_json(text: str) -> "Certificate":
-        obj = json.loads(text)
-        assignment = None
-        if "assignment" in obj:
+        obj = _json_check(_json_loads(text), dict, "certificate")
+        assignment = obj.get("assignment")
+        if assignment is not None:
             assignment = {
-                element_from_name(name): set(vals) for name, vals in obj["assignment"].items()
+                element_from_name(name): _json_colors(vals, name)
+                for name, vals in _json_check(assignment, dict, "assignment").items()
             }
+        budget, seed = obj.get("budget"), obj.get("seed")
+        normalization = _json_check(obj.get("normalization", []), list, "normalization")
         return Certificate(
-            kind=obj["kind"],
-            p=int(obj["p"]),
-            k=int(obj["k"]),
-            universe=int(obj["U"]),
-            graph6=obj["graph"],
-            checked=int(obj["checked"]),
+            kind=_json_check(obj["kind"], str, "kind"),
+            p=_json_check(obj["p"], int, "p"),
+            k=_json_check(obj["k"], int, "k"),
+            universe=_json_check(obj["U"], int, "U"),
+            graph6=_json_check(obj["graph"], str, "graph"),
+            checked=_json_check(obj["checked"], int, "checked"),
             assignment=assignment,
-            budget=obj.get("budget"),
-            mode=obj.get("mode", "lex"),
-            seed=obj.get("seed"),
-            complete=bool(obj.get("complete", False)),
-            normalization=tuple(obj.get("normalization", ())),
+            budget=None if budget is None else _json_check(budget, int, "budget"),
+            mode=_json_check(obj.get("mode", "lex"), str, "mode"),
+            seed=None if seed is None else _json_check(seed, int, "seed"),
+            complete=_json_check(obj.get("complete", False), bool, "complete"),
+            normalization=tuple(_json_check(r, str, "normalization rule") for r in normalization),
         )
 
 

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from plabel.cli import main
 from plabel.graphs import emit_edge_list, emit_graph6, make_path, make_star, parse_graph6
@@ -181,3 +183,87 @@ def test_graph6_input_support(tmp_path, capsys):
     gfile.write_text(emit_graph6(parse_graph6("Bw")) + "\n")
     assert main(["solve", "--graph", str(gfile), "--format", "graph6", "--p", "1"]) == 0
     assert "lambda=" in capsys.readouterr().out
+
+
+_BAD_LISTS = ["[1, 2]", '"x"', '{"p": 1, "lists": {"v:0": 5}}']
+_BAD_CERTIFICATES = [
+    "[1]",
+    json.dumps({"kind": "lower-witness", "p": 1, "k": 2, "U": 3, "graph": "A_", "checked": 1,
+                "assignment": [1, 2]}),
+]
+
+
+@pytest.mark.parametrize("text", _BAD_LISTS)
+def test_malformed_lists_exit_2(star3_file, tmp_path, capsys, text):
+    lists = tmp_path / "lists.json"
+    lists.write_text(text)
+    assert main(["list-solve", "--graph", star3_file, "--lists", str(lists)]) == 2
+    assert main(["construct", "--family", "star", "--graph", star3_file, "--p", "2",
+                 "--lists", str(lists)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+
+@pytest.mark.parametrize("text", _BAD_CERTIFICATES)
+def test_malformed_certificate_exits_2(tmp_path, capsys, text):
+    cert = tmp_path / "cert.json"
+    cert.write_text(text)
+    assert main(["recheck", str(cert)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+# Arbitrary JSON, plus well-typed files with small numbers, so that every
+# well-formed draw stays a desk-sized search.
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=10,
+)
+_small = st.integers(-1, 4)
+_colors = st.lists(st.integers(-1, 5), max_size=3)
+_odd_names = {"v:7": _colors, "e:1-1": _colors, "x": _colors}
+_lists_files = st.fixed_dictionaries({
+    "p": _small,
+    "lists": st.fixed_dictionaries(
+        {name: st.lists(st.integers(-1, 5), min_size=1, max_size=3)
+         for name in ("v:0", "v:1", "v:2", "v:3", "e:0-1", "e:0-2", "e:0-3")},
+        optional=_odd_names,
+    ),
+})
+_certificates = st.fixed_dictionaries({
+    "kind": st.sampled_from(["lower-witness", "upper-certified", "exhausted", "other"]),
+    "p": _small,
+    "k": _small,
+    "U": _small,
+    "graph": st.sampled_from(["?", "@", "A?", "A_", "A"]),
+    "checked": _small,
+}, optional={
+    "assignment": st.fixed_dictionaries(
+        {}, optional={name: _colors for name in ("v:0", "v:1", "e:0-1")} | _odd_names),
+    "budget": _small,
+    "mode": st.sampled_from(["lex", "random", "other"]),
+    "seed": _small,
+    "complete": st.booleans(),
+    "normalization": st.lists(st.text(max_size=4), max_size=2),
+})
+
+
+@given(
+    command=st.sampled_from(["list-solve", "recheck"]),
+    value=_json | _lists_files | _certificates,
+)
+def test_json_readers_never_raise(tmp_path_factory, command, value):
+    folder = tmp_path_factory.mktemp("fuzz")
+    graph = folder / "star3.txt"
+    graph.write_text(emit_edge_list(make_star(3)))
+    data = folder / "input.json"
+    data.write_text(json.dumps(value))
+    if command == "list-solve":
+        code = main(["list-solve", "--graph", str(graph), "--lists", str(data)])
+    else:
+        code = main(["recheck", str(data)])
+    assert code in (0, 1, 2)
+    if not isinstance(value, dict):
+        assert code == 2

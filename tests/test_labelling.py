@@ -253,6 +253,24 @@ def test_lists_json_round_trip():
     assert p == 1 and back == {Vertex(0): {1, 3}, Edge(0, 1): {0, 4, 9}}
 
 
+@pytest.mark.parametrize("text", [
+    "[1, 2]",
+    '"x"',
+    "null",
+    '{"p": "2", "labels": {}, "lists": {}}',
+    '{"p": true, "labels": {}, "lists": {}}',
+    '{"p": 1, "labels": [], "lists": []}',
+    '{"p": 1, "labels": {"v:0": [5]}, "lists": {"v:0": 5}}',
+    '{"p": 1, "labels": {"v:0": 1.5}, "lists": {"v:0": [1.5]}}',
+    "[" * 100000,
+])
+def test_json_readers_reject_malformed_shapes(text):
+    with pytest.raises(ValueError):
+        labelling_from_json(text)
+    with pytest.raises(ValueError):
+        lists_from_json(text)
+
+
 def test_element_key_orders_mixed_sets():
     xs = [Edge(0, 1), Vertex(2), Edge(0, 2), Vertex(0)]
     assert sorted(xs, key=element_key) == [Vertex(0), Vertex(2), Edge(0, 1), Edge(0, 2)]

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from plabel.solvers import (
     element_automorphisms,
     find_bad_assignment,
     lp1_min_span,
+    lp1_solve_span,
     min_colors,
     min_span,
     recheck_certificate,
@@ -229,6 +231,23 @@ def test_certificate_json_round_trip():
     assert ok, detail
 
 
+@pytest.mark.parametrize("change", [
+    {"assignment": [1, 2]},
+    {"assignment": {"v:0": 3}},
+    {"graph": 5},
+    {"k": "4"},
+    {"budget": 1.0},
+    {"complete": "yes"},
+    {"normalization": "shift-min-0"},
+])
+def test_certificate_from_json_rejects_malformed_fields(change):
+    obj = json.loads(find_bad_assignment(make_star(3), 2, 4, budget=10).to_json())
+    with pytest.raises(ValueError):
+        Certificate.from_json(json.dumps({**obj, **change}))
+    with pytest.raises(ValueError):
+        Certificate.from_json(json.dumps([obj]))
+
+
 def test_exhausted_certificate_replays():
     cert = find_bad_assignment(make_path(2), 2, 3, universe=4, budget=25)
     ok, detail = recheck_certificate(Certificate.from_json(cert.to_json()))
@@ -238,6 +257,41 @@ def test_exhausted_certificate_replays():
 def test_solver_counts_nodes_and_time():
     result = solve_span(make_star(3), 2, 4)
     assert result.nodes > 0 and result.seconds >= 0
+
+
+_MOP10_DELTA6 = Graph(10, [  # mop_with_degree(10, 0, min_delta=5)
+    (0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4),
+    (3, 8), (4, 5), (4, 8), (4, 9), (5, 6), (5, 7), (6, 7), (8, 9),
+])
+_C5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
+_PINNED = [
+    (solve_span, make_star(3), 2, 4, 7, "0411234"),
+    (solve_span, make_path(50), 2, 4, 99,
+     "1" + "042" * 16 + "0" + "3" + "204" * 16),  # 50 vertices, then 49 edges
+    (solve_span, _MOP10_DELTA6, 2, 6, 3839, None),
+    (solve_span, _MOP10_DELTA6, 0, 5, 27, "120212100213051024233140120"),
+    (lp1_solve_span, make_path(6), 2, 4, 6, "130240"),
+    (solve_list, _C5, 1, full_lists(_C5, (0, 1, 3)), 51, None),
+]
+
+
+def test_pinned_search_nodes_and_answers():
+    """Fixed calls keep the node count and the answer the search gives them.
+
+    The answer is the colors in element order (vertices by index for the
+    vertex solver), or None when the call is infeasible. A change that alters
+    the search on purpose (its variable or value order, its pruning or
+    propagation) re-records these values and says so in CHANGES.md.
+    """
+    for solve, g, p, arg, nodes, colors in _PINNED:
+        result = solve(g, p, arg)
+        if result.labelling is None:
+            got = None
+        elif solve is lp1_solve_span:
+            got = "".join(str(result.labelling[v]) for v in range(g.n))
+        else:
+            got = "".join(str(result.labelling[x]) for x in elements_of(g))
+        assert (result.nodes, got) == (nodes, colors), (solve.__name__, g, p)
 
 
 def test_path3_choosability_settled_by_witness_search():
