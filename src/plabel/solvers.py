@@ -1,18 +1,22 @@
 """Complete backtracking solvers and choosability certificates.
 
 These are the ground-truth oracles the constructive labellers are checked
-against. One search, with forward checking and most-constrained-element
-ordering, labels vertices with distance-two constraints; a (p,1)-total
-instance is solved as such an instance on the once-subdivided graph. On top
-of it sit the minimum span by an upward scan and exhaustive / budgeted
-searches over normalized list assignments.
+against. One search, with forward checking, most-constrained-element
+ordering and a pigeonhole check on every neighbourhood, labels vertices with
+distance-two constraints; a (p,1)-total instance is solved as such an
+instance on the once-subdivided graph. The search keeps its own stack, so
+long inputs are not limited by Python's recursion depth. On top of it sit
+the minimum span by an upward scan and exhaustive / budgeted searches over
+normalized list assignments.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import comb
 
@@ -67,68 +71,147 @@ class SolveResult:
         return self.labelling is not None
 
 
-def _search(domains: list[set[int]], cons, p: int):
+def _search(domains: list[set[int]], cons, p: int, groups):
     """Backtracking with forward checking; returns (assignment | None, nodes).
 
     Variable order: smallest current domain, ties broken by the number of
     unassigned constraint partners (more first) and then element order; all
     deterministic. Value order: ascending color. The degree tie-break matters
     in practice: without it some dense two-dozen-element instances thrash
-    through millions of nodes.
+    through millions of nodes. The keys live in a heap that is updated as
+    domains and partners change; stale entries are skipped when they reach
+    the top, and the heap is rebuilt once it holds more than 4*elements+64
+    entries, so its memory stays linear.
+
+    Each group is a (center, members) pair whose members must take pairwise
+    distinct colors, each at least p away from the center's. A group fails
+    when its members' domains hold fewer colors than it has members, or when
+    every candidate color of the center leaves too few of them. Groups are
+    checked before the first node and, after each assignment, those that
+    contain the assigned element. The check removes no value, so it changes
+    neither the order of the search nor its answer; it only cuts subtrees
+    that hold no solution. The search runs on an explicit stack, so its depth
+    is not bounded by Python's recursion limit.
     """
     count = len(domains)
     assigned: list[int | None] = [None] * count
-    nodes = 0
+    live = [len(partners) for partners in cons]
+    heap = [(len(domains[i]), -live[i], i) for i in range(count)]
+    heapq.heapify(heap)
+    heap_cap = 4 * count + 64
+    # a one-member group can fail only at the root: once either end is
+    # placed, forward checking has left the other end only compatible colors
+    groups_of: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(count)]
+    for group in groups:
+        center, members = group
+        if len(members) > 1:
+            groups_of[center].append(group)
+            for j in members:
+                groups_of[j].append(group)
 
-    def prune(i: int, color: int):
-        removed: list[tuple[int, list[int]]] = []
+    own = list(domains)  # an assigned element's domain is {its color} until unplaced
+    ball = 2 * p - 1  # colors in the open p-ball around a center color
+
+    def fails(center: int, members: tuple[int, ...]) -> bool:
+        colors = set().union(*map(domains.__getitem__, members))
+        spare = len(colors) - len(members)
+        if spare < 0:
+            return True
+        if spare >= ball:
+            return False
+        ordered = sorted(colors)
+        for c in domains[center]:
+            if bisect_left(ordered, c + p) - bisect_right(ordered, c - p) <= spare:
+                return False
+        return True
+
+    def place(i: int, color: int):
+        """Assign i and prune its unassigned partners; returns (ok, removed).
+        Once a partner's domain is empty, the rest are only counted."""
+        assigned[i] = color
+        domains[i] = {color}
         ok = True
+        removed: list[tuple[int, list[int]]] = []
         for j, sep in cons[i]:
-            if assigned[j] is not None:
+            live[j] -= 1
+            if not ok or assigned[j] is not None or (sep and p == 0):
                 continue
             dom = domains[j]
             if sep:
-                if p == 0:
-                    continue
                 gone = [c for c in dom if abs(c - color) < p]
             else:
                 gone = [color] if color in dom else []
             if gone:
                 dom.difference_update(gone)
                 removed.append((j, gone))
-                if not dom:
-                    ok = False
-                    break
+                ok = bool(dom)
         return ok, removed
 
-    def undo(removed):
+    def unplace(i: int, removed) -> None:
         for j, gone in removed:
             domains[j].update(gone)
+        for j, _ in cons[i]:
+            live[j] += 1
+        assigned[i] = None
+        domains[i] = own[i]
 
-    def extend(done: int):
-        nonlocal nodes
-        if done == count:
-            return True
-        best = -1
-        best_key = None
-        for i in range(count):
-            if assigned[i] is None:
-                live = sum(1 for j, _ in cons[i] if assigned[j] is None)
-                key = (len(domains[i]), -live, i)
-                if best_key is None or key < best_key:
-                    best, best_key = i, key
-        for color in sorted(domains[best]):
+    def push_keys(i: int) -> None:
+        for j, _ in cons[i]:
+            if assigned[j] is None:
+                heapq.heappush(heap, (len(domains[j]), -live[j], j))
+
+    def select() -> int:
+        nonlocal heap
+        if len(heap) > heap_cap:
+            heap = [(len(domains[i]), -live[i], i) for i in range(count) if assigned[i] is None]
+            heapq.heapify(heap)
+        while heap:
+            size, neg_live, i = heap[0]
+            if assigned[i] is None and size == len(domains[i]) and -neg_live == live[i]:
+                return i
+            heapq.heappop(heap)
+        return -1
+
+    for center, members in groups:
+        if fails(center, members):
+            return None, 0
+    first = select()
+    if first < 0:
+        return [], 0
+    nodes = 0
+    # frame: [element, its colors in ascending order, next color index, removals
+    # of the color whose subtree is being searched, or None between colors]
+    stack = [[first, sorted(domains[first]), 0, None]]
+    while stack:
+        frame = stack[-1]
+        var, colors, _, removed = frame
+        if removed is not None:  # back from the subtree under the last color
+            unplace(var, removed)
+            push_keys(var)
+            heapq.heappush(heap, (len(domains[var]), -live[var], var))
+            frame[3] = None
+        while frame[2] < len(colors):
+            color = colors[frame[2]]
+            frame[2] += 1
             nodes += 1
-            assigned[best] = color
-            ok, removed = prune(best, color)
-            if ok and extend(done + 1):
-                return True
-            undo(removed)
-            assigned[best] = None
-        return False
-
-    found = extend(0)
-    return (list(assigned) if found else None), nodes
+            ok, removed = place(var, color)
+            if ok:
+                for center, members in groups_of[var]:
+                    if fails(center, members):
+                        break
+                else:
+                    break
+            unplace(var, removed)
+        else:
+            stack.pop()
+            continue
+        frame[3] = removed
+        push_keys(var)
+        nxt = select()
+        if nxt < 0:
+            return list(assigned), nodes
+        stack.append([nxt, sorted(domains[nxt]), 0, None])
+    return None, nodes
 
 
 def _lp1_constraints(g: Graph):
@@ -160,11 +243,25 @@ def _lp1_constraints(g: Graph):
     return cons
 
 
+def _neighbourhood_groups(g: Graph, p: int):
+    """The (w, N(w)) pairs of g whose members must take pairwise distinct colors.
+
+    Two neighbours of w are at distance two, or adjacent and so at least
+    p >= 1 apart. At p = 0 adjacent neighbours may share a color, so a
+    neighbourhood that holds an edge is left out.
+    """
+    return [
+        (w, members) for w, members in enumerate(g.adj)
+        if members and (p > 0 or not any(
+            g.has_edge(a, b) for a, b in itertools.combinations(members, 2)))
+    ]
+
+
 def _solve(g: Graph, p: int, domains: list[set[int]]):
     """Vertex labelling of g from the domains: adjacent vertices >= p apart,
     vertices at distance two distinct. Returns (assignment | None, nodes, seconds)."""
     start = time.monotonic()
-    assignment, nodes = _search(domains, _lp1_constraints(g), p)
+    assignment, nodes = _search(domains, _lp1_constraints(g), p, _neighbourhood_groups(g, p))
     return assignment, nodes, time.monotonic() - start
 
 
@@ -286,24 +383,43 @@ def _is_canonical(combo: tuple, perms) -> bool:
     return True
 
 
+def _lex_product(pool, repeat: int):
+    """itertools.product(pool(), repeat=repeat), same order, holding only
+    one iterator of pool() per position instead of the whole pool."""
+    iters = [pool() for _ in range(repeat)]
+    current = [next(it) for it in iters]
+    while True:
+        yield tuple(current)
+        i = repeat - 1
+        while i >= 0:
+            current[i] = next(iters[i], None)
+            if current[i] is not None:
+                break
+            iters[i] = pool()
+            current[i] = next(iters[i])
+            i -= 1
+        else:
+            return
+
+
 def _normalized_assignments(g: Graph, k: int, universe: int, canonical: bool, stats=None):
     """Lexicographic k-assignments from {0..universe}, minimum color zero,
     optionally reduced to orbit representatives under element automorphisms.
+    The graph with no elements has one assignment, the empty one.
 
     Stops at a fixed raw-iteration cap (recorded in stats["capped"]) so the
     filters cannot spin unboundedly on large instances."""
     elems = elements_of(g)
-    pools = list(itertools.combinations(range(universe + 1), k))
     perms = element_automorphisms(g) if canonical else []
     perms = [pm for pm in perms if pm != tuple(range(len(elems)))]
     raw = 0
-    for combo in itertools.product(pools, repeat=len(elems)):
+    for combo in _lex_product(lambda: itertools.combinations(range(universe + 1), k), len(elems)):
         raw += 1
         if raw > _RAW_SCAN_CAP:
             if stats is not None:
                 stats["capped"] = True
             return
-        if min(t[0] for t in combo) != 0:
+        if combo and min(t[0] for t in combo) != 0:
             continue
         if perms and not _is_canonical(combo, perms):
             continue
@@ -432,7 +548,7 @@ def find_bad_assignment(
     elems = elements_of(g)
     while checked < budget:
         lists = {x: sorted(rng.sample(range(universe + 1), k)) for x in elems}
-        shift = min(min(v) for v in lists.values())
+        shift = min((min(v) for v in lists.values()), default=0)
         lists = {x: set(c - shift for c in v) for x, v in lists.items()}
         checked += 1
         if not solve_list(g, p, lists).labelled:

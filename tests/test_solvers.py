@@ -1,15 +1,27 @@
+import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from plabel.graphs import Graph, make_path, make_star
+from plabel.graphs import (
+    Graph,
+    incidence_graph,
+    make_fan,
+    make_path,
+    make_random_maximal_outerplanar,
+    make_star,
+)
 from plabel.labelling import Edge, Vertex, elements_of, full_lists, respects_lists
 from plabel.solvers import (
     Certificate,
     InstanceTooLarge,
+    _lex_product,
+    _lp1_constraints,
+    _search,
     certify_choosable,
     element_automorphisms,
     find_bad_assignment,
@@ -268,10 +280,12 @@ _PINNED = [
     (solve_span, make_star(3), 2, 4, 7, "0411234"),
     (solve_span, make_path(50), 2, 4, 99,
      "1" + "042" * 16 + "0" + "3" + "204" * 16),  # 50 vertices, then 49 edges
-    (solve_span, _MOP10_DELTA6, 2, 6, 3839, None),
+    (solve_span, _MOP10_DELTA6, 2, 6, 0, None),
     (solve_span, _MOP10_DELTA6, 0, 5, 27, "120212100213051024233140120"),
+    # the neighbourhood check cuts this search from 44 nodes to 29
+    (solve_span, _MOP10_DELTA6, 3, 8, 29, "120478135854887356011244070"),
     (lp1_solve_span, make_path(6), 2, 4, 6, "130240"),
-    (solve_list, _C5, 1, full_lists(_C5, (0, 1, 3)), 51, None),
+    (solve_list, _C5, 1, full_lists(_C5, (0, 1, 3)), 45, None),
 ]
 
 
@@ -306,3 +320,173 @@ def test_path3_choosability_settled_by_witness_search():
     ok, _ = recheck_certificate(cert)
     assert ok
     assert min_span(g, 2) == 4
+
+
+def _rescanning_search(domains, cons, p):
+    """Reference for the search order: recursive, rescanning every element
+    for the smallest (domain size, -unassigned partners, index) at each node."""
+    assigned = [None] * len(domains)
+    nodes = 0
+
+    def extend():
+        nonlocal nodes
+        free = [i for i in range(len(domains)) if assigned[i] is None]
+        if not free:
+            return True
+        best = min(free, key=lambda i: (
+            len(domains[i]), -sum(assigned[j] is None for j, _ in cons[i]), i))
+        for color in sorted(domains[best]):
+            nodes += 1
+            assigned[best] = color
+            removed = []
+            for j, sep in cons[best]:
+                if assigned[j] is None and (p or not sep):
+                    gone = {c for c in domains[j] if (abs(c - color) < p if sep else c == color)}
+                    domains[j] -= gone
+                    removed.append((j, gone))
+                    if not domains[j]:
+                        break
+            else:
+                if extend():
+                    return True
+            for j, gone in removed:
+                domains[j] |= gone
+            assigned[best] = None
+        return False
+
+    return (list(assigned) if extend() else None), nodes
+
+
+_MOP7_DELTA6 = Graph(7, [
+    (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 4), (4, 5), (5, 6),
+])
+
+
+@pytest.mark.parametrize("g,p,k", [
+    (_MOP10_DELTA6, 2, 6), (_MOP10_DELTA6, 3, 8), (_MOP7_DELTA6, 2, 6), (_C5, 1, 2),
+])
+def test_search_order_matches_rescanning_reference(g, p, k):
+    # without groups the heap-kept order must visit exactly the reference's
+    # nodes, backtracking included, and return the same answer
+    derived = incidence_graph(g).derived
+    cons = _lp1_constraints(derived)
+    mine = _search([set(range(k + 1)) for _ in range(derived.n)], cons, p, [])
+    assert mine == _rescanning_search([set(range(k + 1)) for _ in range(derived.n)], cons, p)
+
+
+@pytest.mark.parametrize("n", [600, 2000])
+def test_long_paths_label_without_recursion_limit(n):
+    g = make_path(n)
+    result = solve_span(g, 2, 4)
+    assert result.labelled and result.nodes == g.n + g.m
+
+
+_MOP12_DELTA8 = Graph(12, [  # make_random_maximal_outerplanar(12, 8)
+    (0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (3, 4), (3, 5), (3, 6),
+    (3, 8), (3, 9), (3, 10), (4, 8), (5, 6), (5, 7), (6, 7), (6, 9), (6, 11), (9, 10),
+    (9, 11),
+])
+
+
+def test_refutation_below_degree_bound_ends_at_root():
+    # k = Delta+p-2 leaves the 8 edges at vertex 3 too few colors outside the
+    # p-ball of any color of vertex 3; backtracking alone ran over 15 minutes here
+    assert _MOP12_DELTA8.max_degree == 8
+    result = solve_span(_MOP12_DELTA8, 2, 8)
+    assert not result.labelled and result.nodes == 0
+
+
+_TRIANGLES = [
+    Graph(3, [(0, 1), (1, 2), (0, 2)]),
+    Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+    Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+]
+
+
+def test_solver_agrees_with_naive_oracle_on_narrow_ranges():
+    """Lists drawn from about Delta+p colors, around the degree bound, so that
+    the neighbourhood check both refutes at the root and cuts inside the
+    search. Sizes are the largest at which the oracle stays within a second."""
+    graphs = (
+        [make_star(n) for n in range(2, 6)] + _TRIANGLES
+        + [make_random_maximal_outerplanar(n, s) for n in (4, 5) for s in range(3)]
+    )
+    rng = random.Random(2024)
+    outcomes = {"feasible": 0, "root": 0, "searched": 0}
+    for _ in range(4):
+        for g in graphs:
+            for p in range(4):
+                width = g.max_degree + p + rng.randrange(-1, 2)
+                low = rng.randrange(3)
+                colors = range(low, low + width)
+                lists = {
+                    x: set(rng.sample(colors, rng.randrange(max(1, width - 2), width + 1)))
+                    for x in elements_of(g)
+                }
+                mine = solve_list(g, p, lists)
+                theirs = naive_solve(g.n, g.edges, p, to_naive_lists(lists))
+                assert mine.labelled == (theirs is not None), (g.edges, p, lists)
+                if mine.labelled:
+                    outcomes["feasible"] += 1
+                else:
+                    outcomes["root" if mine.nodes == 0 else "searched"] += 1
+    # every list is non-empty, so a refutation in 0 nodes is the root check
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def _brute_lp1_labelled(g: Graph, p: int, k: int) -> bool:
+    apart = [
+        (a, b) for a, b in itertools.combinations(range(g.n), 2)
+        if not g.has_edge(a, b) and set(g.adj[a]) & set(g.adj[b])
+    ]
+    return any(
+        all(abs(labels[u] - labels[v]) >= p for u, v in g.edges)
+        and all(labels[a] != labels[b] for a, b in apart)
+        for labels in itertools.product(range(k + 1), repeat=g.n)
+    )
+
+
+def test_lp1_at_p0_on_graphs_with_triangles_matches_brute_force():
+    # at p = 0 adjacent vertices may share a color, so a neighbourhood that
+    # holds a triangle edge must not be checked for distinct colors
+    graphs = _TRIANGLES + [make_fan(4), make_fan(5)] + [
+        make_random_maximal_outerplanar(n, s) for n in (5, 6) for s in range(2)
+    ]
+    for g in graphs:
+        for k in range(g.max_degree + 1):
+            assert lp1_solve_span(g, 0, k).labelled == _brute_lp1_labelled(g, 0, k), (g.edges, k)
+        assert _brute_lp1_labelled(g, 0, lp1_min_span(g, 0))
+
+
+def test_certification_of_the_empty_graph():
+    g = Graph(0)
+    assert solve_span(g, 2, 3).labelling == {}
+    cert = certify_choosable(g, 2, 3)
+    assert (cert.kind, cert.checked, cert.complete) == ("upper-certified", 1, True)
+    cert = find_bad_assignment(g, 2, 3)
+    assert (cert.kind, cert.checked, cert.complete) == ("exhausted", 1, True)
+    cert = find_bad_assignment(g, 2, 3, budget=7, mode="random")
+    assert (cert.kind, cert.checked) == ("exhausted", 7)
+    ok, detail = recheck_certificate(cert)
+    assert ok, detail
+
+
+@pytest.mark.parametrize("universe,k,repeat", [(4, 2, 3), (5, 3, 2), (3, 1, 1), (3, 2, 0)])
+def test_lex_product_matches_itertools_product(universe, k, repeat):
+    def pool():
+        return itertools.combinations(range(universe + 1), k)
+
+    assert list(_lex_product(pool, repeat)) == list(itertools.product(list(pool()), repeat=repeat))
+
+
+def test_witness_search_memory_does_not_grow_with_the_universe():
+    # the candidate lists of a position are generated, not stored: storing
+    # the 280,840 3-subsets of {0..120} took over 20 MB
+    tracemalloc.start()
+    try:
+        cert = find_bad_assignment(make_path(2), 1, 3, universe=120, budget=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cert.kind, cert.checked) == ("exhausted", 5)
+    assert peak < 1_000_000
