@@ -11,17 +11,10 @@ import json
 import sys
 from pathlib import Path
 
-from .constructive import (
-    OuterplanarAudit,
-    TheoremViolation,
-    label_outerplanar_list,
-    label_path_greedy,
-    label_star_list,
-    label_star_span,
-    label_tree_dfs,
-)
+from .constructive import OuterplanarAudit, TheoremViolation, label_star_span
 from .graphs import FORMATS, GraphParseError, emit_graph, incidence_graph, make_star, parse_graph
 from .harness import (
+    FAMILIES,
     ExperimentSpec,
     emit_dot,
     hunt_counterexamples,
@@ -128,26 +121,16 @@ def cmd_construct(args) -> int:
             Path(args.dot).write_text(emit_dot(g, labelling), encoding="utf-8")
         return 0
     g = _load_graph(args)
+    family = FAMILIES[args.family]
     if args.lists:
         p, lists = _load_lists(args)
     else:
-        from .harness import required_list_size
-
         p = args.p
-        k = required_list_size(args.family, g, p)
+        k = family.list_size(g, p)
         lists = full_lists(g, range(k))
         print(f"using full lists 0..{k - 1}", file=sys.stderr)
     audit = OuterplanarAudit()
-    if args.family == "path":
-        labelling = label_path_greedy(g, p, lists)
-    elif args.family == "tree":
-        labelling = label_tree_dfs(g, p, lists)
-    elif args.family == "star":
-        labelling = label_star_list(g, p, lists)
-    elif args.family == "outerplanar":
-        labelling = label_outerplanar_list(g, p, lists, audit=audit)
-    else:
-        raise ValueError(f"unknown family {args.family!r}")
+    labelling = family.label(g, p, lists, audit)
     _write_out(labelling_to_json(p, labelling), args.out)
     if args.audit:
         trail = {
@@ -199,7 +182,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_props(args) -> int:
     if args.p_values is None:
-        p_values = (2, 3) if args.family == "star" else (1, 2, 3)
+        p_values = tuple(range(FAMILIES[args.family].min_p, 4))
     else:
         p_values = tuple(args.p_values)
     spec = ExperimentSpec(
@@ -271,10 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_recheck)
 
     sp = sub.add_parser("construct", help="run a constructive labeller")
-    sp.add_argument(
-        "--family", required=True,
-        choices=("path", "tree", "star", "star-span", "outerplanar"),
-    )
+    sp.add_argument("--family", required=True, choices=(*FAMILIES, "star-span"))
     sp.add_argument("--graph", default=None)
     sp.add_argument("--format", choices=FORMATS, default="edge-list")
     sp.add_argument("--p", type=int, required=True)
@@ -303,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("props", help="constructive guarantees over random assignments")
-    sp.add_argument("--family", required=True, choices=("path", "tree", "star", "outerplanar"))
+    sp.add_argument("--family", required=True, choices=tuple(FAMILIES))
     sp.add_argument("--p-values", type=int, nargs="+", default=None)
     sp.add_argument("--size-min", type=int, default=3)
     sp.add_argument("--size-max", type=int, default=12)

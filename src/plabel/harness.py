@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
@@ -49,6 +50,8 @@ __all__ = [
 ]
 
 CSV_COLUMNS = ("instance", "family", "n", "p", "k", "outcome", "span", "fallbacks", "nodes")
+# a property trial whose index is a multiple of this, if small, is re-solved exactly
+_CROSS_CHECK_EVERY = 50
 
 
 @dataclass(frozen=True)
@@ -137,19 +140,6 @@ def random_k_assignment(g: Graph, k: int, universe: int, rng: random.Random) -> 
     return {x: set(rng.sample(range(universe + 1), k)) for x in elements_of(g)}
 
 
-def required_list_size(family: str, g: Graph, p: int) -> int:
-    """The guaranteed-sufficient list size for each constructive labeller."""
-    if family == "path":
-        return 2 * p + 1
-    if family == "tree":
-        return max(g.max_degree, 2) + 2 * p - 1
-    if family == "star":
-        return (g.n - 1) + 2 * p - 1
-    if family == "outerplanar":
-        return g.max_degree + 2 * p - 1
-    raise ValueError(f"unknown family {family!r}")
-
-
 def mop_with_degree(n: int, seed: int, min_delta: int = 0, max_delta: int | None = None) -> Graph:
     """Deterministic retry over sub-seeds until the degree constraint holds."""
     for attempt in range(10000):
@@ -162,28 +152,58 @@ def mop_with_degree(n: int, seed: int, min_delta: int = 0, max_delta: int | None
     )
 
 
+@dataclass(frozen=True)
+class Family:
+    """One constructive family: least p and size, list-size rule, instance
+    maker and labeller. Makers and labellers name the module-level functions
+    inside a lambda, so rebinding those names (as a tracer does) reaches them."""
+
+    min_p: int
+    min_size: int
+    list_size: Callable  # (g, p) -> k
+    make: Callable  # (size, p, seed, trial) -> Graph
+    label: Callable  # (g, p, lists, audit) -> labelling
+
+
+FAMILIES = {
+    "path": Family(
+        1, 1, lambda g, p: 2 * p + 1,
+        lambda n, p, seed, trial: make_path(n),
+        lambda g, p, lists, audit: label_path_greedy(g, p, lists),
+    ),
+    "tree": Family(
+        1, 1, lambda g, p: max(g.max_degree, 2) + 2 * p - 1,
+        lambda n, p, seed, trial: make_random_tree(n, seed * 1000003 + trial),
+        lambda g, p, lists, audit: label_tree_dfs(g, p, lists),
+    ),
+    # size is the leaf count
+    "star": Family(
+        2, 3, lambda g, p: (g.n - 1) + 2 * p - 1,
+        lambda n, p, seed, trial: make_star(n),
+        lambda g, p, lists, audit: label_star_list(g, p, lists),
+    ),
+    # Delta >= p+3 needs p+4 vertices, so 5 at p = 1
+    "outerplanar": Family(
+        1, 5, lambda g, p: g.max_degree + 2 * p - 1,
+        lambda n, p, seed, trial: mop_with_degree(n, seed * 1000003 + trial, min_delta=p + 3),
+        lambda g, p, lists, audit: label_outerplanar_list(g, p, lists, audit=audit),
+    ),
+}
+
+
+def _family(name: str) -> Family:
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
+    return FAMILIES[name]
+
+
+def required_list_size(family: str, g: Graph, p: int) -> int:
+    """The guaranteed-sufficient list size for each constructive labeller."""
+    return _family(family).list_size(g, p)
+
+
 def make_instance(family: str, size: int, p: int, seed: int, trial: int) -> Graph:
-    if family == "path":
-        return make_path(size)
-    if family == "star":
-        return make_star(size)
-    if family == "tree":
-        return make_random_tree(size, seed * 1000003 + trial)
-    if family == "outerplanar":
-        return mop_with_degree(size, seed * 1000003 + trial, min_delta=p + 3)
-    raise ValueError(f"unknown family {family!r}")
-
-
-def _label(family: str, g: Graph, p: int, lists: dict, audit: OuterplanarAudit | None = None):
-    if family == "path":
-        return label_path_greedy(g, p, lists)
-    if family == "tree":
-        return label_tree_dfs(g, p, lists)
-    if family == "star":
-        return label_star_list(g, p, lists)
-    if family == "outerplanar":
-        return label_outerplanar_list(g, p, lists, audit=audit)
-    raise ValueError(f"unknown family {family!r}")
+    return _family(family).make(size, p, seed, trial)
 
 
 # --- oracle tables ---------------------------------------------------------------
@@ -192,6 +212,8 @@ def _label(family: str, g: Graph, p: int, lists: dict, audit: OuterplanarAudit |
 def run_oracle_suite(p_values=(1, 2, 3, 4), sizes=(1, 2, 3, 4, 5, 6, 7, 8)) -> Report:
     """Exact solver against the closed forms for paths and stars, plus the
     distance-two vertex-labelling table for paths. Any mismatch fails."""
+    if any(p < 1 for p in p_values):
+        raise ValueError("the closed forms need p >= 1")
     report = Report(meta={"suite": "oracle", "p_values": list(p_values), "sizes": list(sizes)})
     for p in p_values:
         for k in sizes:
@@ -255,15 +277,15 @@ def _counterexample(g: Graph, p: int, lists: dict) -> dict:
     return {"graph": emit_graph6(g), "p": p, "lists": json.loads(lists_to_json(p, lists))}
 
 
-def run_property_suite(spec: ExperimentSpec, cross_check_every: int = 50) -> Report:
+def run_property_suite(spec: ExperimentSpec) -> Report:
     """Run a constructive labeller over random assignments of the guaranteed
     size; assert zero failures. Small instances are periodically cross-checked
     against the complete solver."""
-    min_p = 2 if spec.family == "star" else 1
-    if any(p < min_p for p in spec.p_values):
-        raise ValueError(f"family {spec.family!r} needs p >= {min_p}")
-    if spec.family == "star" and any(n < 3 for n in spec.sizes):
-        raise ValueError("star suite needs at least 3 leaves")
+    family = _family(spec.family)
+    if any(p < family.min_p for p in spec.p_values):
+        raise ValueError(f"family {spec.family!r} needs p >= {family.min_p}")
+    if any(n < family.min_size for n in spec.sizes):
+        raise ValueError(f"family {spec.family!r} needs size >= {family.min_size}")
     report = Report(meta={"suite": "props", **_spec_meta(spec)})
     if spec.policy == "adversarial-search":
         return _adversarial_property_suite(spec, report)
@@ -284,7 +306,7 @@ def run_property_suite(spec: ExperimentSpec, cross_check_every: int = 50) -> Rep
             inst = f"props-{spec.family}-n{size:02d}-p{p}-t{trial:04d}"
             audit = OuterplanarAudit()
             try:
-                labelling = _label(spec.family, g, p, lists, audit=audit)
+                labelling = family.label(g, p, lists, audit)
             except (AssertionError, TheoremViolation) as exc:
                 failures += 1
                 if isinstance(exc, TheoremViolation):
@@ -306,7 +328,7 @@ def run_property_suite(spec: ExperimentSpec, cross_check_every: int = 50) -> Rep
                  "outcome": "labelled", "span": max(colors) - min(colors),
                  "fallbacks": audit.fallbacks}
             )
-            if cross_check_every and trial % cross_check_every == 0 and g.n + g.m <= 12:
+            if trial % _CROSS_CHECK_EVERY == 0 and g.n + g.m <= 12:
                 if not solve_list(g, p, lists).labelled:
                     report.verdicts.append(
                         {"claim": f"{spec.family}-solver-agreement", "instance": inst,

@@ -54,6 +54,8 @@ __all__ = [
 # hard ceiling on raw enumeration work per witness search, independent of the
 # solver-call budget, so lexicographic filters cannot spin unboundedly
 _RAW_SCAN_CAP = 5_000_000
+# brute-force automorphism search runs on graphs up to this many vertices
+_AUTOMORPHISM_MAX_VERTICES = 8
 
 
 class InstanceTooLarge(ValueError):
@@ -348,14 +350,14 @@ def lp1_min_span(g: Graph, p: int) -> int:
 # --- normalized-assignment enumeration ----------------------------------------
 
 
-def element_automorphisms(g: Graph, max_vertices: int = 8) -> list[tuple[int, ...]]:
+def element_automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """Element-index permutations induced by graph automorphisms.
 
     Element i is vertex i of the once-subdivided graph. Brute force over
-    vertex permutations; beyond max_vertices only the identity is returned
-    (enumeration callers are desk-scale anyway).
+    vertex permutations; beyond _AUTOMORPHISM_MAX_VERTICES only the identity
+    is returned (enumeration callers are desk-scale anyway).
     """
-    if g.n > max_vertices:
+    if g.n > _AUTOMORPHISM_MAX_VERTICES:
         return [tuple(range(g.n + g.m))]
     edge_index = incidence_graph(g).edge_image
     edges = g.sorted_edges()
@@ -607,6 +609,9 @@ def recheck_certificate(cert: Certificate) -> tuple[bool, str]:
         missing = [x for x in elements_of(g) if x not in cert.assignment]
         if missing:
             return False, f"assignment misses {len(missing)} elements"
+        foreign = set(cert.assignment) - set(elements_of(g))
+        if foreign:
+            return False, f"assignment holds {len(foreign)} elements not in the graph"
         if solve_list(g, cert.p, cert.assignment).labelled:
             return False, "embedded assignment is labelable after all"
         return True, "witness re-checked infeasible"

@@ -1,13 +1,15 @@
+import argparse
 import json
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from plabel.cli import main
+from plabel.cli import build_parser, main
 from plabel.graphs import emit_edge_list, emit_graph6, make_path, make_star, parse_graph6
-from plabel.labelling import full_lists, labelling_from_json, lists_to_json
-from plabel.solvers import Certificate
+from plabel.harness import FAMILIES, make_instance
+from plabel.labelling import full_lists, is_valid, labelling_from_json, lists_to_json
+from plabel.solvers import Certificate, find_bad_assignment
 
 
 @pytest.fixture
@@ -61,6 +63,18 @@ def test_choosability_witness_and_recheck(star3_file, tmp_path, capsys):
     broken["k"] = 3
     cert_path.write_text(json.dumps(broken))
     assert main(["recheck", str(cert_path)]) == 1
+
+
+def test_recheck_rejects_foreign_elements(tmp_path, capsys):
+    cert = find_bad_assignment(make_star(3), 2, 4, budget=50)
+    assert cert.kind == "lower-witness"
+    obj = json.loads(cert.to_json())
+    obj["assignment"]["e:0-9"] = [0, 1, 2, 3]
+    obj["assignment"]["v:77"] = [0, 1, 2, 3]
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(obj))
+    assert main(["recheck", str(cert_path)]) == 1
+    assert "not in the graph" in capsys.readouterr().out
 
 
 def test_choosability_exhaustive(tmp_path, capsys):
@@ -138,6 +152,40 @@ def test_oracle_command(tmp_path, capsys):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["ok"] is True
+
+
+def test_oracle_rejects_p_below_1(capsys):
+    assert main(["oracle", "--p-min", "0", "--p-max", "1", "--size-max", "3"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_every_family_constructs_and_runs_props(family, tmp_path):
+    min_p = FAMILIES[family].min_p
+    g = make_instance(family, 7, min_p, 0, 0)
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(emit_edge_list(g))
+    out = tmp_path / "lab.json"
+    assert main(["construct", "--family", family, "--graph", str(gfile),
+                 "--p", str(min_p), "--out", str(out)]) == 0
+    p, lab = labelling_from_json(out.read_text())
+    assert is_valid(g, p, lab, total=True).ok
+    report = tmp_path / "report.json"
+    assert main(["props", "--family", family, "--size-min", "7", "--size-max", "8",
+                 "--trials", "4", "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["meta"]["p_values"] == list(range(min_p, 4))
+
+
+def test_family_choices_come_from_the_table():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+    def choices(command):
+        action = next(a for a in sub.choices[command]._actions if a.dest == "family")
+        return list(action.choices)
+
+    assert choices("props") == list(FAMILIES)
+    assert choices("construct") == [*FAMILIES, "star-span"]
 
 
 def test_props_command_exit_codes(tmp_path):

@@ -24,10 +24,12 @@ from plabel.graphs import (
     make_random_maximal_outerplanar,
     make_random_tree,
     make_star,
+    parse_graph6,
 )
 from plabel.labelling import (
     Edge,
     Vertex,
+    element_from_name,
     elements_of,
     full_lists,
     is_valid,
@@ -376,6 +378,29 @@ def test_c3_fallback_recovers_from_corrupted_state():
     assert rb.resolved_whole_graph
     assert is_valid(g, p, rb.c, total=True).ok
     assert respects_lists(rb.c, lists)
+
+
+# Delta = 4 = p+3 at p=1, found by a seeded sweep: the C3 hub-edge pool is empty
+# (its bound is p-1 = 0) and the interchange swaps two colors that pool already
+# excludes, so the restricted solve and then the full re-solve are both needed
+_P1_FALLBACK_LISTS = {
+    "v:0": [0, 1, 2, 3, 5], "v:1": [0, 2, 3, 4, 5], "v:2": [0, 1, 2, 3, 5],
+    "v:3": [0, 1, 3, 4, 6], "v:4": [0, 1, 2, 4, 6], "v:5": [0, 1, 2, 3, 4],
+    "e:0-1": [0, 2, 3, 4, 5], "e:0-2": [0, 2, 3, 4, 5], "e:0-3": [0, 1, 2, 3, 4],
+    "e:0-5": [0, 1, 3, 4, 6], "e:1-2": [1, 3, 4, 5, 6], "e:1-4": [0, 1, 4, 5, 6],
+    "e:1-5": [1, 2, 3, 5, 6], "e:2-3": [0, 2, 4, 5, 6], "e:2-4": [1, 3, 4, 5, 6],
+}
+
+
+def test_outerplanar_p1_instance_reaches_both_solver_fallbacks():
+    g = parse_graph6("E|Z?")
+    lists = {element_from_name(name): set(colors) for name, colors in _P1_FALLBACK_LISTS.items()}
+    audit = OuterplanarAudit()
+    c = label_outerplanar_list(g, 1, lists, audit=audit)
+    assert is_valid(g, 1, c, total=True).ok
+    assert respects_lists(c, lists)
+    assert (audit.interchanges, audit.invalid_swaps) == (1, 0)
+    assert (audit.restricted_solves, audit.full_resolves) == (1, 1)
 
 
 def test_outerplanar_bridge_disconnection():

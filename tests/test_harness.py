@@ -139,6 +139,25 @@ def test_make_instance_deterministic():
     assert g.max_degree >= 5
 
 
+def test_family_labellers_are_looked_up_at_call_time(monkeypatch):
+    # tracers and capture hooks rebind module attributes; the table must reach
+    # the rebound labeller, not a reference it stored at import
+    import plabel.harness as harness
+
+    calls = []
+    original = harness.label_tree_dfs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "label_tree_dfs", counting)
+    spec = ExperimentSpec(family="tree", sizes=(4, 6), p_values=(1, 2), trials=3, seed=5)
+    report = run_property_suite(spec)
+    assert report.ok
+    assert len(calls) == len(report.rows) == 6
+
+
 def test_random_k_assignment_shape():
     import random
 
