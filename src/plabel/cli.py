@@ -181,13 +181,14 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_props(args) -> int:
-    if args.p_values is None:
-        p_values = tuple(range(FAMILIES[args.family].min_p, 4))
-    else:
-        p_values = tuple(args.p_values)
+    family = FAMILIES[args.family]
+    p_values = tuple(args.p_values or range(family.min_p, 4))
+    size_min = args.size_min
+    if size_min is None:
+        size_min = max(3, family.min_size(max(p_values)))
     spec = ExperimentSpec(
         family=args.family,
-        sizes=tuple(range(args.size_min, args.size_max + 1)),
+        sizes=tuple(range(size_min, args.size_max + 1)),
         p_values=p_values,
         policy=args.policy,
         trials=args.trials,
@@ -285,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("props", help="constructive guarantees over random assignments")
     sp.add_argument("--family", required=True, choices=tuple(FAMILIES))
     sp.add_argument("--p-values", type=int, nargs="+", default=None)
-    sp.add_argument("--size-min", type=int, default=3)
+    sp.add_argument("--size-min", type=int, help="default: max(3, least size at the largest p)")
     sp.add_argument("--size-max", type=int, default=12)
     sp.add_argument("--policy", choices=("full-range", "random-k", "adversarial-search"),
                 default="random-k")

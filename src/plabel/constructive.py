@@ -10,6 +10,8 @@ valid list-respecting (p,1)-total labelling deterministically:
   outerplanar    lists of size Delta+2p-1 when Delta>=p+3, reducible
                  configurations with minimum-color extensions
 
+Inside, every routine reads the lists and colors by element position (vertex
+v at v, the j-th sorted edge at n+j) and builds the element dict on return.
 Every returned labelling is re-validated unconditionally. A failure of a
 guarantee that the underlying mathematics rules out raises
 TheoremViolation, which is a reportable research event rather than an
@@ -23,14 +25,12 @@ from itertools import combinations
 
 from .graphs import Graph, make_star
 from .labelling import (
-    Edge,
-    Vertex,
+    _edge_positions,
     check_lists,
     element_name,
     elements_of,
     is_valid,
     p_ball,
-    respects_lists,
 )
 from .solvers import solve_list, solve_span
 
@@ -55,12 +55,14 @@ class TheoremViolation(RuntimeError):
     """A list-size guarantee failed at runtime; carries reproduction data."""
 
 
-def _assert_output(g: Graph, p: int, labelling: dict, lists: dict | None = None) -> None:
-    report = is_valid(g, p, labelling, total=True)
+def _checked_output(g: Graph, p: int, c: list, lists: list | None = None) -> dict:
+    """Re-validate a labelling by position and return it keyed by element."""
+    report = is_valid(g, p, c, total=True)
     if not report.ok:
         raise AssertionError(f"constructed labelling is invalid: {report.violations[:4]}")
-    if lists is not None and not respects_lists(labelling, lists):
+    if lists is not None and any(color not in lst for color, lst in zip(c, lists)):
         raise AssertionError("constructed labelling leaves its lists")
+    return dict(zip(elements_of(g), c))
 
 
 def _least(colors) -> int:
@@ -99,20 +101,17 @@ def label_path_greedy(g: Graph, p: int, lists: dict) -> dict:
         raise ValueError("the sequential greedy needs p >= 1")
     order = _path_order(g)
     check_lists(g, lists, minimum=2 * p + 1)
-    c: dict = {}
-    c[Vertex(order[0])] = _least(lists[Vertex(order[0])])
-    prev_edge_color: int | None = None
-    for i in range(1, g.n):
-        u, v = order[i - 1], order[i]
-        e = Edge(u, v)
-        forb = p_ball(c[Vertex(u)], p)
-        if prev_edge_color is not None:
-            forb = forb | {prev_edge_color}
-        c[e] = _least(set(lists[e]) - forb)
-        c[Vertex(v)] = _least(set(lists[Vertex(v)]) - {c[Vertex(u)]} - p_ball(c[e], p))
-        prev_edge_color = c[e]
-    _assert_output(g, p, c, lists)
-    return c
+    lists = [lists[x] for x in elements_of(g)]
+    edge_at = _edge_positions(g)
+    c: list = [None] * len(lists)
+    c[order[0]] = _least(lists[order[0]])
+    prev_edge: set = set()  # the color of the edge before u, once there is one
+    for u, v in zip(order, order[1:]):
+        e = edge_at[u, v]
+        c[e] = _least(set(lists[e]) - p_ball(c[u], p) - prev_edge)
+        c[v] = _least(set(lists[v]) - {c[u]} - p_ball(c[e], p))
+        prev_edge = {c[e]}
+    return _checked_output(g, p, c, lists)
 
 
 # --- trees --------------------------------------------------------------------
@@ -135,10 +134,12 @@ def label_tree_dfs(g: Graph, p: int, lists: dict) -> dict:
     # one-edge tree
     need = 1 if g.m == 0 else max(g.max_degree, 2) + 2 * p - 1
     check_lists(g, lists, minimum=need)
-    c: dict = {}
+    lists = [lists[x] for x in elements_of(g)]
+    edge_at = _edge_positions(g)
+    c: list = [None] * len(lists)
     edge_colors: list[list[int]] = [[] for _ in range(g.n)]
     root = 0
-    c[Vertex(root)] = _least(lists[Vertex(root)])
+    c[root] = _least(lists[root])
     stack = [(root, iter(g.adj[root]))]
     seen = {root}
     while stack:
@@ -148,19 +149,18 @@ def label_tree_dfs(g: Graph, p: int, lists: dict) -> dict:
             if w in seen:
                 continue
             seen.add(w)
-            e = Edge(u, w)
-            forb = p_ball(c[Vertex(u)], p) | set(edge_colors[u])
+            e = edge_at[u, w]
+            forb = p_ball(c[u], p) | set(edge_colors[u])
             c[e] = _least(set(lists[e]) - forb)
             edge_colors[u].append(c[e])
             edge_colors[w].append(c[e])
-            c[Vertex(w)] = _least(set(lists[Vertex(w)]) - {c[Vertex(u)]} - p_ball(c[e], p))
+            c[w] = _least(set(lists[w]) - {c[u]} - p_ball(c[e], p))
             stack.append((w, iter(g.adj[w])))
             advanced = True
             break
         if not advanced:
             stack.pop()
-    _assert_output(g, p, c, lists)
-    return c
+    return _checked_output(g, p, c, lists)
 
 
 # --- stars --------------------------------------------------------------------
@@ -174,7 +174,7 @@ def _star_shape(g: Graph) -> tuple[int, list[int]]:
     return center, leaves
 
 
-def _protected_edge_coloring(order: list[Edge], avail: dict, n: int) -> dict | None:
+def _protected_edge_coloring(order: list[int], avail: dict, n: int) -> dict | None:
     """Greedy minimum-color edge coloring that shields one slack-rich edge.
 
     Repeatedly takes the global minimum m of the uncolored lists and gives it
@@ -226,30 +226,31 @@ def label_star_list(g: Graph, p: int, lists: dict) -> dict:
     if n < 3:
         raise ValueError("the star routine needs at least 3 leaves")
     check_lists(g, lists, minimum=n + 2 * p - 1)
-    order = [Edge(center, v) for v in leaves]
-    for alpha in sorted(lists[Vertex(center)]):
+    lists = [lists[x] for x in elements_of(g)]
+    edge_at = _edge_positions(g)
+    order = [edge_at[center, v] for v in leaves]
+    for alpha in sorted(lists[center]):
         reduced = {e: set(lists[e]) - p_ball(alpha, p) for e in order}
         if not any(len(reduced[e]) >= n for e in order):
             continue
         edge_colors = _protected_edge_coloring(order, reduced, n)
         if edge_colors is None:
             continue
-        c = {Vertex(center): alpha, **edge_colors}
-        stranded = False
-        for v in leaves:
-            e = Edge(center, v)
-            pool = set(lists[Vertex(v)]) - {alpha} - p_ball(c[e], p)
+        c: list = [None] * len(lists)
+        c[center] = alpha
+        for e, color in edge_colors.items():
+            c[e] = color
+        for v, e in zip(leaves, order):
+            pool = set(lists[v]) - {alpha} - p_ball(c[e], p)
             if not pool:
-                stranded = True
                 break
-            c[Vertex(v)] = min(pool)
-        if stranded:
-            continue
-        _assert_output(g, p, c, lists)
-        return c
+            c[v] = min(pool)
+        else:
+            return _checked_output(g, p, c, lists)
     raise TheoremViolation(
         f"star with {n} leaves and p={p}: no center color admitted the "
-        f"protected-edge coloring; lists={ {element_name(x): sorted(v) for x, v in lists.items()} }"
+        "protected-edge coloring; lists="
+        f"{ {element_name(x): sorted(v) for x, v in zip(elements_of(g), lists)} }"
     )
 
 
@@ -265,19 +266,14 @@ def label_star_span(n: int, p: int) -> dict:
         raise ValueError("need n >= 1 and p >= 1")
     g = make_star(n)
     if p < n:
-        c: dict = {Vertex(0): n + p}
-        for j in range(1, n + 1):
-            c[Edge(0, j)] = j
-        for j in range(1, n):
-            c[Vertex(j)] = p + j
-        c[Vertex(n)] = 1
+        # vertex j at j, then edge 0-j at n+j
+        c = [n + p, *(p + j for j in range(1, n)), 1, *range(1, n + 1)]
     else:
         result = solve_span(g, p, n + p)
         if not result.labelled:
             raise TheoremViolation(f"star with {n} leaves, p={p}: range n+p+1 infeasible")
-        c = {x: color + 1 for x, color in result.labelling.items()}
-    _assert_output(g, p, c)
-    return c
+        c = [result.labelling[x] + 1 for x in elements_of(g)]
+    return _checked_output(g, p, c)
 
 
 # --- outerplanar graphs ---------------------------------------------------------
@@ -414,12 +410,12 @@ class _Rebuilder:
     """Working state for the outerplanar extension phase.
 
     Holds the partially rebuilt graph (adjacency plus current edge set), the
-    growing labelling, the fixed lists, and the audit counters. One method
-    per reduction kind; each re-inserts its deleted piece and colors it.
+    growing labelling and the fixed lists by element position of g, and the
+    audit counters. Each reduction kind has a method that re-inserts and colors its piece.
     """
 
-    def __init__(self, g: Graph, p: int, lists: dict, audit: OuterplanarAudit,
-                 adj: dict, cur_edges: set, c: dict):
+    def __init__(self, g: Graph, p: int, lists: list, audit: OuterplanarAudit,
+                 adj: dict, cur_edges: set, c: list):
         self.g = g
         self.p = p
         self.lists = lists
@@ -427,6 +423,7 @@ class _Rebuilder:
         self.adj = adj
         self.cur_edges = cur_edges
         self.c = c
+        self.edge_at = _edge_positions(g)
         self.resolved_whole_graph = False
 
     def _add_edge(self, u, v):
@@ -434,26 +431,24 @@ class _Rebuilder:
         self.adj.setdefault(v, set()).add(u)
         self.cur_edges.add((u, v) if u < v else (v, u))
 
-    def _edge_colors_at(self, w, skip=None):
-        return {self.c[Edge(w, nb)] for nb in self.adj[w] if nb != skip}
-
     def extend_leaf(self, v, u):
         c, p = self.c, self.p
         self._add_edge(v, u)
-        e = Edge(v, u)
-        pool_e = set(self.lists[e]) - self._edge_colors_at(u, skip=v) - p_ball(c[Vertex(u)], p)
+        e = self.edge_at[v, u]
+        at_u = {c[self.edge_at[u, nb]] for nb in self.adj[u] if nb != v}
+        pool_e = set(self.lists[e]) - at_u - p_ball(c[u], p)
         _audit_bound(self.audit, "leaf", (v, u), {"edge": len(pool_e)}, {"edge": 1})
         c[e] = _least(pool_e)
-        c[Vertex(v)] = _least(set(self.lists[Vertex(v)]) - {c[Vertex(u)]} - p_ball(c[e], p))
+        c[v] = _least(set(self.lists[v]) - {c[u]} - p_ball(c[e], p))
 
     def extend_c1(self, u, v, x, y):
-        c, p = self.c, self.p
+        c, p, edge_at = self.c, self.p, self.edge_at
         self._add_edge(u, v)
-        e = Edge(u, v)
-        del c[Vertex(u)], c[Vertex(v)]
-        eu, ev = Edge(u, x), Edge(v, y)
-        pool_u = set(self.lists[Vertex(u)]) - {c[Vertex(x)]} - p_ball(c[eu], p)
-        pool_v = set(self.lists[Vertex(v)]) - {c[Vertex(y)]} - p_ball(c[ev], p)
+        e = edge_at[u, v]
+        c[u] = c[v] = None
+        eu, ev = edge_at[u, x], edge_at[v, y]
+        pool_u = set(self.lists[u]) - {c[x]} - p_ball(c[eu], p)
+        pool_v = set(self.lists[v]) - {c[y]} - p_ball(c[ev], p)
         pool_e = set(self.lists[e]) - {c[eu], c[ev]}
         _audit_bound(
             self.audit, "c1", (u, v),
@@ -465,14 +460,13 @@ class _Rebuilder:
             # the minimum lives on the edge only: place it there, both ends
             # then lose at most p-1 colors each
             c[e] = m
-            cu = _least(pool_u - p_ball(m, p))
-            c[Vertex(u)] = cu
-            c[Vertex(v)] = _least(pool_v - p_ball(m, p) - {cu})
+            c[u] = _least(pool_u - p_ball(m, p))
+            c[v] = _least(pool_v - p_ball(m, p) - {c[u]})
             return
         if m in pool_u:
-            first, second, spool = Vertex(u), Vertex(v), pool_v
+            first, second, spool = u, v, pool_v
         else:
-            first, second, spool = Vertex(v), Vertex(u), pool_u
+            first, second, spool = v, u, pool_u
         c[first] = m
         spool2 = spool - {m}
         epool2 = pool_e - p_ball(m, p)
@@ -485,19 +479,15 @@ class _Rebuilder:
             c[second] = _least(spool2 - p_ball(m1, p))
 
     def extend_c2(self, u, v1, v2, z):
-        c, p = self.c, self.p
+        c, p, edge_at = self.c, self.p, self.edge_at
         self._add_edge(u, v1)
-        e = Edge(u, v1)
-        del c[Vertex(u)]
-        pool_u = (
-            set(self.lists[Vertex(u)])
-            - {c[Vertex(v1)], c[Vertex(v2)]}
-            - p_ball(c[Edge(u, v2)], p)
-        )
+        e = edge_at[u, v1]
+        c[u] = None
+        pool_u = set(self.lists[u]) - {c[v1], c[v2]} - p_ball(c[edge_at[u, v2]], p)
         pool_e = (
             set(self.lists[e])
-            - {c[Edge(v1, z)], c[Edge(v1, v2)], c[Edge(u, v2)]}
-            - p_ball(c[Vertex(v1)], p)
+            - {c[edge_at[v1, z]], c[edge_at[v1, v2]], c[edge_at[u, v2]]}
+            - p_ball(c[v1], p)
         )
         _audit_bound(
             self.audit, "c2", (u, v1, v2),
@@ -507,31 +497,26 @@ class _Rebuilder:
         m = min(pool_u | pool_e)
         if m in pool_e:
             c[e] = m
-            c[Vertex(u)] = _least(pool_u - p_ball(m, p))
+            c[u] = _least(pool_u - p_ball(m, p))
         else:
-            c[Vertex(u)] = m
+            c[u] = m
             c[e] = _least(pool_e - p_ball(m, p))
 
     def _c3_pools(self, x, u1, v1, u2, v2):
-        c, p = self.c, self.p
-        e = Edge(x, u1)
-        pool_u = (
-            set(self.lists[Vertex(u1)])
-            - {c[Vertex(v1)], c[Vertex(x)]}
-            - p_ball(c[Edge(u1, v1)], p)
-        )
+        c, p, edge_at = self.c, self.p, self.edge_at
+        pool_u = set(self.lists[u1]) - {c[v1], c[x]} - p_ball(c[edge_at[u1, v1]], p)
         pool_e = (
-            set(self.lists[e])
-            - {c[Edge(x, v1)], c[Edge(u1, v1)], c[Edge(x, v2)], c[Edge(x, u2)]}
-            - p_ball(c[Vertex(x)], p)
+            set(self.lists[edge_at[x, u1]])
+            - {c[edge_at[x, v1]], c[edge_at[u1, v1]], c[edge_at[x, v2]], c[edge_at[x, u2]]}
+            - p_ball(c[x], p)
         )
         return pool_u, pool_e
 
     def extend_c3(self, x, u1, v1, u2, v2):
-        c, p = self.c, self.p
+        c, p, edge_at = self.c, self.p, self.edge_at
         self._add_edge(x, u1)
-        e = Edge(x, u1)
-        del c[Vertex(u1)]
+        e = edge_at[x, u1]
+        c[u1] = None
         pool_u, pool_e = self._c3_pools(x, u1, v1, u2, v2)
         _audit_bound(
             self.audit, "c3", (x, u1, v1, u2, v2),
@@ -539,46 +524,48 @@ class _Rebuilder:
             {"u1": p + 1, "edge": p - 1},
         )
         pair = _find_pair(pool_u, pool_e, p)
-        if pair is None:
-            # tight case: swap the colors of the hub-side and far-side edges
-            # at v1. The color multiset at v1 is unchanged; still, the swap is
-            # verified before being trusted, and reverted if it breaks anything.
-            e_hub, e_far = Edge(x, v1), Edge(u1, v1)
-            c[e_hub], c[e_far] = c[e_far], c[e_hub]
-            self.audit.interchanges += 1
-            if is_valid(Graph(self.g.n, self.cur_edges), p, c).ok:
-                pool_u, pool_e = self._c3_pools(x, u1, v1, u2, v2)
-                pair = _find_pair(pool_u, pool_e, p)
-            else:
-                c[e_hub], c[e_far] = c[e_far], c[e_hub]
-                self.audit.invalid_swaps += 1
         if pair is not None:
-            c[Vertex(u1)] = pair[0]
-            c[e] = pair[1]
+            c[u1], c[e] = pair
+            return
+        # the partly rebuilt graph, whose ends of unrestored edges may share a
+        # color, and the position in g of each of its element positions
+        working = Graph(self.g.n, self.cur_edges)
+        in_g = [*range(self.g.n), *(edge_at[uv] for uv in working.sorted_edges())]
+        # tight case: swap the colors of the hub-side and far-side edges at
+        # v1. The color multiset at v1 is unchanged; still, the swap is
+        # verified before being trusted, and reverted if it breaks anything.
+        e_hub, e_far = edge_at[x, v1], edge_at[u1, v1]
+        c[e_hub], c[e_far] = c[e_far], c[e_hub]
+        self.audit.interchanges += 1
+        if is_valid(working, p, [c[i] for i in in_g]).ok:
+            pair = _find_pair(*self._c3_pools(x, u1, v1, u2, v2), p)
+        else:
+            c[e_hub], c[e_far] = c[e_far], c[e_hub]
+            self.audit.invalid_swaps += 1
+        if pair is not None:
+            c[u1], c[e] = pair
             return
         # pin every colored element and let the complete solver place just
         # the hub edge and its degree-2 endpoint
         self.audit.restricted_solves += 1
-        working = Graph(self.g.n, self.cur_edges)
-        pinned = {el: {color} for el, color in c.items()}
-        for el in elements_of(working):
-            if el not in pinned:
-                pinned[el] = set(self.lists[el])
+        element_at = dict(zip(in_g, elements_of(working)))
+        pinned = {
+            el: set(self.lists[i]) if c[i] is None else {c[i]} for i, el in element_at.items()
+        }
         restricted = solve_list(working, p, pinned)
         if restricted.labelled:
-            c[Vertex(u1)] = restricted.labelling[Vertex(u1)]
-            c[e] = restricted.labelling[e]
+            c[u1], c[e] = (restricted.labelling[element_at[i]] for i in (u1, e))
             return
         # last resort: re-solve the whole instance; a failure here would
         # contradict the list-size guarantee
         self.audit.full_resolves += 1
-        full = solve_list(self.g, p, self.lists)
+        full = solve_list(self.g, p, dict(zip(elements_of(self.g), self.lists)))
         if not full.labelled:
             raise TheoremViolation(
                 f"outerplanar with Delta={self.g.max_degree}, p={p}: the full "
                 "instance has no list-respecting labelling"
             )
-        self.c = dict(full.labelling)
+        self.c = [full.labelling[x] for x in elements_of(self.g)]
         self.resolved_whole_graph = True
 
 
@@ -605,6 +592,7 @@ def label_outerplanar_list(
             f"maximum degree {delta} below p+3={p + 3}; use the exact list solver instead"
         )
     check_lists(g, lists, minimum=delta + 2 * p - 1)
+    lists = [lists[x] for x in elements_of(g)]
     if audit is None:
         audit = OuterplanarAudit()
 
@@ -645,7 +633,7 @@ def label_outerplanar_list(
             drop_edge(match.x, match.u1)
 
     # edgeless core: least color of each remaining vertex's list
-    core = {Vertex(v): min(lists[Vertex(v)]) for v in sorted(adj)}
+    core = [min(lists[i]) if i in adj else None for i in range(len(lists))]
 
     # extension phase: undo the reductions last-first, so each step sees its
     # own reduced graph fully labelled
@@ -660,6 +648,4 @@ def label_outerplanar_list(
         handlers[step[0]](*step[1:])
         if rebuilder.resolved_whole_graph:
             break
-    c = rebuilder.c
-    _assert_output(g, p, c, lists)
-    return c
+    return _checked_output(g, p, rebuilder.c, lists)

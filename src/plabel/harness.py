@@ -154,12 +154,12 @@ def mop_with_degree(n: int, seed: int, min_delta: int = 0, max_delta: int | None
 
 @dataclass(frozen=True)
 class Family:
-    """One constructive family: least p and size, list-size rule, instance
-    maker and labeller. Makers and labellers name the module-level functions
-    inside a lambda, so rebinding those names (as a tracer does) reaches them."""
+    """One constructive family: least p, least size at each p, list-size rule,
+    instance maker and labeller. Makers and labellers name the module-level
+    functions in a lambda, so rebinding those names (as a tracer does) reaches them."""
 
     min_p: int
-    min_size: int
+    min_size: Callable  # p -> least size
     list_size: Callable  # (g, p) -> k
     make: Callable  # (size, p, seed, trial) -> Graph
     label: Callable  # (g, p, lists, audit) -> labelling
@@ -167,24 +167,24 @@ class Family:
 
 FAMILIES = {
     "path": Family(
-        1, 1, lambda g, p: 2 * p + 1,
+        1, lambda p: 1, lambda g, p: 2 * p + 1,
         lambda n, p, seed, trial: make_path(n),
         lambda g, p, lists, audit: label_path_greedy(g, p, lists),
     ),
     "tree": Family(
-        1, 1, lambda g, p: max(g.max_degree, 2) + 2 * p - 1,
+        1, lambda p: 1, lambda g, p: max(g.max_degree, 2) + 2 * p - 1,
         lambda n, p, seed, trial: make_random_tree(n, seed * 1000003 + trial),
         lambda g, p, lists, audit: label_tree_dfs(g, p, lists),
     ),
     # size is the leaf count
     "star": Family(
-        2, 3, lambda g, p: (g.n - 1) + 2 * p - 1,
+        2, lambda p: 3, lambda g, p: (g.n - 1) + 2 * p - 1,
         lambda n, p, seed, trial: make_star(n),
         lambda g, p, lists, audit: label_star_list(g, p, lists),
     ),
-    # Delta >= p+3 needs p+4 vertices, so 5 at p = 1
+    # Delta >= p+3 needs p+4 vertices
     "outerplanar": Family(
-        1, 5, lambda g, p: g.max_degree + 2 * p - 1,
+        1, lambda p: p + 4, lambda g, p: g.max_degree + 2 * p - 1,
         lambda n, p, seed, trial: mop_with_degree(n, seed * 1000003 + trial, min_delta=p + 3),
         lambda g, p, lists, audit: label_outerplanar_list(g, p, lists, audit=audit),
     ),
@@ -212,6 +212,8 @@ def make_instance(family: str, size: int, p: int, seed: int, trial: int) -> Grap
 def run_oracle_suite(p_values=(1, 2, 3, 4), sizes=(1, 2, 3, 4, 5, 6, 7, 8)) -> Report:
     """Exact solver against the closed forms for paths and stars, plus the
     distance-two vertex-labelling table for paths. Any mismatch fails."""
+    if not p_values or not sizes:
+        raise ValueError("p_values and sizes must be non-empty")
     if any(p < 1 for p in p_values):
         raise ValueError("the closed forms need p >= 1")
     report = Report(meta={"suite": "oracle", "p_values": list(p_values), "sizes": list(sizes)})
@@ -284,8 +286,9 @@ def run_property_suite(spec: ExperimentSpec) -> Report:
     family = _family(spec.family)
     if any(p < family.min_p for p in spec.p_values):
         raise ValueError(f"family {spec.family!r} needs p >= {family.min_p}")
-    if any(n < family.min_size for n in spec.sizes):
-        raise ValueError(f"family {spec.family!r} needs size >= {family.min_size}")
+    least = max(map(family.min_size, spec.p_values))
+    if min(spec.sizes) < least:
+        raise ValueError(f"family {spec.family!r} needs size >= {least}")
     report = Report(meta={"suite": "props", **_spec_meta(spec)})
     if spec.policy == "adversarial-search":
         return _adversarial_property_suite(spec, report)

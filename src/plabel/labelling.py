@@ -124,56 +124,66 @@ class ValidationReport:
         return self.ok
 
 
-def _check_domain(g: Graph, labelling) -> None:
-    for x in labelling:
-        if isinstance(x, Vertex):
-            if not (0 <= x.v < g.n):
-                raise ValueError(f"element {element_name(x)} outside graph with n={g.n}")
-        elif isinstance(x, Edge):
-            if (x.u, x.v) not in g.edges:
-                raise ValueError(f"element {element_name(x)} is not an edge of the graph")
-        else:
-            raise ValueError(f"not an element: {x!r}")
+def _edge_positions(g: Graph) -> dict[tuple[int, int], int]:
+    """Element position of every edge of g, keyed by both orientations: the
+    j-th edge in sorted order is at position n+j, after the n vertices."""
+    positions = {}
+    for j, (u, v) in enumerate(g.sorted_edges(), g.n):
+        positions[u, v] = positions[v, u] = j
+    return positions
 
 
-def is_valid(g: Graph, p: int, labelling: dict, total: bool = False) -> ValidationReport:
+def is_valid(g: Graph, p: int, labelling, total: bool = False) -> ValidationReport:
     """Check the three constraint families on labelled elements only.
 
     (i) adjacent vertices get distinct colors, (ii) adjacent edges get
     distinct colors, (iii) an edge and an incident vertex differ by >= p.
     With total=True additionally every element must be labelled. All
-    violations are reported, not just the first.
+    violations are reported, not just the first. The labelling is a dict
+    keyed by elements, or a list of colors by element position (vertex v at
+    v, the j-th sorted edge at n+j), None where unlabelled.
     """
     if p < 0:
         raise ValueError("separation p must be non-negative")
-    _check_domain(g, labelling)
-    violations: list[Violation] = []
-    for u, v in g.sorted_edges():
-        cu = labelling.get(Vertex(u))
-        cv = labelling.get(Vertex(v))
-        if cu is not None and cv is not None and cu == cv:
-            violations.append(Violation("vertex-vertex", Vertex(u), Vertex(v)))
-    for w in range(g.n):
-        incident = [Edge(w, nb) for nb in g.adj[w]]
-        labelled = [e for e in incident if e in labelling]
-        # two adjacent edges of a simple graph share exactly one vertex, so
-        # every adjacent pair is visited exactly once over this loop
-        for e1, e2 in combinations(sorted(labelled, key=element_key), 2):
-            if labelling[e1] == labelling[e2]:
-                violations.append(Violation("edge-edge", e1, e2))
-    for u, v in g.sorted_edges():
-        e = Edge(u, v)
-        ce = labelling.get(e)
+    if isinstance(labelling, list):
+        colors = labelling
+    else:
+        colors = [None] * (g.n + g.m)
+        edge_at = _edge_positions(g)
+        for x, color in labelling.items():
+            if isinstance(x, Vertex) and 0 <= x.v < g.n:
+                colors[x.v] = color
+            elif isinstance(x, Edge) and (x.u, x.v) in edge_at:
+                colors[edge_at[x.u, x.v]] = color
+            else:
+                raise ValueError(f"{x!r} is not an element of the graph with n={g.n}")
+    if len(colors) != g.n + g.m:
+        raise ValueError(f"labelling has {len(colors)} positions for {g.n + g.m} elements")
+    n, edges = g.n, g.sorted_edges()
+    def element(i: int) -> Element:
+        return Vertex(i) if i < n else Edge(*edges[i - n])
+    # incident[w]: the labelled edges at w, in element order
+    same, close = [], []  # vertex-vertex and vertex-edge violations
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for j, (u, v) in enumerate(edges, n):
+        cu, cv, ce = colors[u], colors[v], colors[j]
+        if cu is not None and cu == cv:
+            same.append(Violation("vertex-vertex", Vertex(u), Vertex(v)))
         if ce is None:
             continue
-        for w in (u, v):
-            cw = labelling.get(Vertex(w))
-            if cw is not None and abs(cw - ce) < p:
-                violations.append(Violation("vertex-edge", Vertex(w), e))
+        incident[u].append(j)
+        incident[v].append(j)
+        close += [Violation("vertex-edge", Vertex(w), Edge(u, v))
+                  for w, cw in ((u, cu), (v, cv)) if cw is not None and abs(cw - ce) < p]
+    # two adjacent edges of a simple graph share exactly one vertex, so every
+    # adjacent pair is visited exactly once here
+    clash = [Violation("edge-edge", element(a), element(b))
+             for labelled in incident for a, b in combinations(labelled, 2)
+             if colors[a] == colors[b]]
+    violations = same + clash + close
     if total:
-        for x in elements_of(g):
-            if x not in labelling:
-                violations.append(Violation("unlabelled", x))
+        violations += [Violation("unlabelled", element(i))
+                       for i, color in enumerate(colors) if color is None]
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 

@@ -22,6 +22,7 @@ from math import comb
 
 from .graphs import Graph, emit_graph6, incidence_graph, parse_graph6
 from .labelling import (
+    _edge_positions,
     _json_check,
     _json_colors,
     _json_loads,
@@ -33,7 +34,6 @@ from .labelling import (
     full_lists,
     is_valid,
     lp1_is_valid,
-    respects_lists,
 )
 
 __all__ = [
@@ -279,15 +279,16 @@ def solve_list(g: Graph, p: int, lists: dict) -> SolveResult:
         raise ValueError("separation p must be non-negative")
     check_lists(g, lists)
     elems = elements_of(g)
-    domains = [set(lists[x]) for x in elems]
+    given = [lists[x] for x in elems]
+    # the search narrows the domains it assigns; re-check against the caller's lists
+    domains = [set(colors) for colors in given]
     assignment, nodes, seconds = _solve(incidence_graph(g).derived, p, domains)
     if assignment is None:
         return SolveResult(None, nodes, seconds)
-    labelling = dict(zip(elems, assignment))
-    report = is_valid(g, p, labelling, total=True)
-    if not report.ok or not respects_lists(labelling, lists):
+    report = is_valid(g, p, assignment, total=True)
+    if not report.ok or any(color not in colors for color, colors in zip(assignment, given)):
         raise AssertionError(f"solver produced an invalid labelling: {report.violations}")
-    return SolveResult(labelling, nodes, seconds)
+    return SolveResult(dict(zip(elems, assignment)), nodes, seconds)
 
 
 def solve_span(g: Graph, p: int, k: int) -> SolveResult:
@@ -359,14 +360,13 @@ def element_automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """
     if g.n > _AUTOMORPHISM_MAX_VERTICES:
         return [tuple(range(g.n + g.m))]
-    edge_index = incidence_graph(g).edge_image
+    edge_at = _edge_positions(g)
     edges = g.sorted_edges()
     perms = []
     for sigma in itertools.permutations(range(g.n)):
         mapping = list(sigma)
         for u, v in edges:
-            su, sv = sigma[u], sigma[v]
-            image = edge_index.get((su, sv) if su < sv else (sv, su))
+            image = edge_at.get((sigma[u], sigma[v]))
             if image is None:
                 break
             mapping.append(image)
@@ -404,16 +404,15 @@ def _lex_product(pool, repeat: int):
             return
 
 
-def _normalized_assignments(g: Graph, k: int, universe: int, canonical: bool, stats=None):
+def _normalized_assignments(g: Graph, k: int, universe: int, stats=None):
     """Lexicographic k-assignments from {0..universe}, minimum color zero,
-    optionally reduced to orbit representatives under element automorphisms.
+    reduced to orbit representatives under element automorphisms.
     The graph with no elements has one assignment, the empty one.
 
     Stops at a fixed raw-iteration cap (recorded in stats["capped"]) so the
     filters cannot spin unboundedly on large instances."""
     elems = elements_of(g)
-    perms = element_automorphisms(g) if canonical else []
-    perms = [pm for pm in perms if pm != tuple(range(len(elems)))]
+    perms = [pm for pm in element_automorphisms(g) if pm != tuple(range(len(elems)))]
     raw = 0
     for combo in _lex_product(lambda: itertools.combinations(range(universe + 1), k), len(elems)):
         raw += 1
@@ -530,7 +529,7 @@ def find_bad_assignment(
     if mode == "lex":
         stats = {"capped": False}
         budget_hit = False
-        for lists in _normalized_assignments(g, k, universe, canonical=True, stats=stats):
+        for lists in _normalized_assignments(g, k, universe, stats=stats):
             if checked >= budget:
                 budget_hit = True
                 break
@@ -586,7 +585,7 @@ def certify_choosable(g: Graph, p: int, k: int, universe: int | None = None) -> 
         )
     g6 = emit_graph6(g)
     checked = 0
-    for lists in _normalized_assignments(g, k, universe, canonical=True):
+    for lists in _normalized_assignments(g, k, universe):
         checked += 1
         if not solve_list(g, p, lists).labelled:
             return Certificate(

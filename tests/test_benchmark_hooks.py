@@ -1,0 +1,28 @@
+"""The benchmark reaches into plabel by name: its tracer wraps the functions
+listed in perfbench.tracing.TRACED, and its props workload records the
+labellings of the functions in perfbench.workloads.Context.LABELLERS. A
+rename in the package would otherwise break only a traced benchmark run."""
+
+import importlib
+
+import pytest
+
+from perfbench.tracing import TRACED, TRACED_METHODS
+from perfbench.workloads import Context
+
+
+@pytest.mark.parametrize("layer", sorted(TRACED))
+def test_traced_names_resolve(layer):
+    module = importlib.import_module(f"plabel.{layer}")
+    assert [name for name in TRACED[layer] if not callable(getattr(module, name, None))] == []
+
+
+def test_traced_methods_resolve():
+    for layer, cls_name, method in TRACED_METHODS:
+        cls = getattr(importlib.import_module(f"plabel.{layer}"), cls_name)
+        assert callable(cls.__dict__.get(method))
+
+
+def test_captured_labellers_resolve():
+    module = importlib.import_module("plabel.constructive")
+    assert [n for n in Context.LABELLERS if not callable(getattr(module, n, None))] == []

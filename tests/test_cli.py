@@ -160,6 +160,25 @@ def test_oracle_rejects_p_below_1(capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("bounds", [("--p-min", "4", "--p-max", "2"),
+                                    ("--size-min", "5", "--size-max", "2")])
+def test_oracle_rejects_an_empty_range(bounds, capsys):
+    assert main(["oracle", *bounds]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_outerplanar_least_size_grows_with_p(tmp_path, capsys):
+    # Delta >= p+3 needs p+4 vertices, so 7 at p = 3
+    assert main(["props", "--family", "outerplanar", "--p-values", "3",
+                 "--size-min", "5"]) == 2
+    assert capsys.readouterr().err == "error: family 'outerplanar' needs size >= 7\n"
+    report = tmp_path / "report.json"
+    assert main(["props", "--family", "outerplanar", "--trials", "2",
+                 "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["meta"]["sizes"] == list(range(7, 13))
+
+
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_every_family_constructs_and_runs_props(family, tmp_path):
     min_p = FAMILIES[family].min_p

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -26,6 +28,7 @@ from plabel.graphs import (
     make_star,
     parse_graph6,
 )
+from plabel.harness import mop_with_degree
 from plabel.labelling import (
     Edge,
     Vertex,
@@ -33,6 +36,7 @@ from plabel.labelling import (
     elements_of,
     full_lists,
     is_valid,
+    labelling_to_json,
     respects_lists,
 )
 from plabel.solvers import solve_list
@@ -348,16 +352,19 @@ def test_c3_interchange_tight_case():
     g, h, lists, c = _tight_c3_state(p)
     audit = OuterplanarAudit()
     adj = {v: set(h.adj[v]) for v in range(h.n)}
-    rb = _Rebuilder(g, p, lists, audit, adj, set(h.edges), c)
+    elements = elements_of(g)
+    rb = _Rebuilder(g, p, [lists[x] for x in elements], audit, adj, set(h.edges),
+                    [c.get(x) for x in elements])
     rb.extend_c3(0, 1, 2, 9, 8)
+    labelled = dict(zip(elements, rb.c))
     assert audit.interchanges == 1
     assert audit.invalid_swaps == 0
     assert audit.restricted_solves == 0
     # the swap moved the far-side color onto the hub-side edge
-    assert rb.c[Edge(0, 2)] == 7 and rb.c[Edge(1, 2)] == 6
-    assert is_valid(g, p, rb.c, total=True).ok
-    assert rb.c[Vertex(1)] in lists[Vertex(1)]
-    assert rb.c[Edge(0, 1)] in lists[Edge(0, 1)]
+    assert labelled[Edge(0, 2)] == 7 and labelled[Edge(1, 2)] == 6
+    assert is_valid(g, p, labelled, total=True).ok
+    assert labelled[Vertex(1)] in lists[Vertex(1)]
+    assert labelled[Edge(0, 1)] in lists[Edge(0, 1)]
 
 
 def test_c3_fallback_recovers_from_corrupted_state():
@@ -369,15 +376,18 @@ def test_c3_fallback_recovers_from_corrupted_state():
     c[Edge(4, 5)] = c[Edge(5, 6)]  # adjacent edges now clash
     audit = OuterplanarAudit()
     adj = {v: set(h.adj[v]) for v in range(h.n)}
-    rb = _Rebuilder(g, p, lists, audit, adj, set(h.edges), c)
+    elements = elements_of(g)
+    rb = _Rebuilder(g, p, [lists[x] for x in elements], audit, adj, set(h.edges),
+                    [c.get(x) for x in elements])
     rb.extend_c3(0, 1, 2, 9, 8)
+    labelled = dict(zip(elements, rb.c))
     assert audit.interchanges == 1
     assert audit.invalid_swaps == 1
     assert audit.restricted_solves == 1
     assert audit.full_resolves == 1
     assert rb.resolved_whole_graph
-    assert is_valid(g, p, rb.c, total=True).ok
-    assert respects_lists(rb.c, lists)
+    assert is_valid(g, p, labelled, total=True).ok
+    assert respects_lists(labelled, lists)
 
 
 # Delta = 4 = p+3 at p=1, found by a seeded sweep: the C3 hub-edge pool is empty
@@ -418,3 +428,87 @@ def test_outerplanar_bridge_disconnection():
     lists = full_lists(g, range(g.max_degree + 3))
     c = label_outerplanar_list(g, 2, lists)
     assert is_valid(g, 2, c, total=True).ok
+
+
+# --- pinned labellings ----------------------------------------------------------
+#
+# The tests above check that labellings are valid; these pin which colors each
+# labeller picks. Each digest is a sha256 prefix of the labellings' JSON (and,
+# for outerplanar graphs, the audit trail) over a seeded sweep, recorded before
+# the labellers moved from element dicts to element positions.
+
+
+def _pin(texts) -> str:
+    return hashlib.sha256("".join(texts).encode("utf-8")).hexdigest()[:16]
+
+
+_PIN_SWEEP = {
+    "path": (
+        lambda n, p, trial: make_path(n), lambda g, p: 2 * p + 1,
+        lambda p: range(1, 13), label_path_greedy,
+    ),
+    "tree": (
+        lambda n, p, trial: make_random_tree(n, 31 * trial + p),
+        lambda g, p: max(g.max_degree, 2) + 2 * p - 1, lambda p: range(1, 21), label_tree_dfs,
+    ),
+    "star": (
+        lambda n, p, trial: make_star(n), lambda g, p: g.n + 2 * p - 2,
+        lambda p: range(3, 10), label_star_list,
+    ),
+    "outerplanar": (
+        lambda n, p, trial: mop_with_degree(n, 31 * trial + p, min_delta=p + 3),
+        lambda g, p: g.max_degree + 2 * p - 1, lambda p: range(p + 4, p + 12),
+        label_outerplanar_list,
+    ),
+}
+
+_PINNED = {
+    ("path", 1): "1c899c49b59b0bbf",
+    ("path", 2): "ea920273948d71e1",
+    ("path", 3): "73eb574c0ec5c3ea",
+    ("tree", 1): "43a646504e14b36c",
+    ("tree", 2): "60b100c6998f79ef",
+    ("tree", 3): "9c66e1b961bc99e5",
+    ("star", 2): "b3f8b539d45d4b74",
+    ("star", 3): "3e08398fda8399aa",
+    ("outerplanar", 1): "54a2e5c844acc4b7",
+    ("outerplanar", 2): "b2b83416201d7199",
+    ("outerplanar", 3): "68c2aef449826ed3",
+}
+
+
+@pytest.mark.parametrize("family,p", sorted(_PINNED))
+def test_labellers_pick_pinned_colors(family, p):
+    make, list_size, sizes, label = _PIN_SWEEP[family]
+    sizes = list(sizes(p))
+    texts = []
+    for trial in range(24):
+        g = make(sizes[trial % len(sizes)], p, trial)
+        k = list_size(g, p)
+        if trial % 4 == 0:
+            lists = full_lists(g, range(k))
+        else:
+            lists = rnd_lists(g, k, k + 2 * p, random.Random(f"pin:{family}:{p}:{trial}"))
+        if family == "outerplanar":
+            audit = OuterplanarAudit()
+            texts.append(labelling_to_json(p, label(g, p, lists, audit=audit)))
+            texts.append(json.dumps(audit.steps))
+        else:
+            texts.append(labelling_to_json(p, label(g, p, lists)))
+    assert _pin(texts) == _PINNED[family, p]
+
+
+def test_star_span_picks_pinned_colors():
+    closed_form = labelling_to_json(2, label_star_span(5, 2))
+    by_solver = labelling_to_json(3, label_star_span(2, 3))
+    assert _pin([closed_form, by_solver]) == "257a7d0757baf575"
+
+
+def test_outerplanar_p1_fallback_instance_picks_pinned_colors():
+    g = parse_graph6("E|Z?")
+    lists = {element_from_name(name): set(colors) for name, colors in _P1_FALLBACK_LISTS.items()}
+    audit = OuterplanarAudit()
+    text = labelling_to_json(1, label_outerplanar_list(g, 1, lists, audit=audit))
+    assert _pin([text, json.dumps(audit.steps)]) == "bd6e826aab459173"
+    assert (audit.interchanges, audit.invalid_swaps) == (1, 0)
+    assert (audit.restricted_solves, audit.full_resolves) == (1, 1)
