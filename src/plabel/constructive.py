@@ -100,8 +100,7 @@ def label_path_greedy(g: Graph, p: int, lists: dict) -> dict:
     if p < 1:
         raise ValueError("the sequential greedy needs p >= 1")
     order = _path_order(g)
-    check_lists(g, lists, minimum=2 * p + 1)
-    lists = [lists[x] for x in elements_of(g)]
+    lists = check_lists(g, lists, minimum=2 * p + 1)
     edge_at = _edge_positions(g)
     c: list = [None] * len(lists)
     c[order[0]] = _least(lists[order[0]])
@@ -133,8 +132,7 @@ def label_tree_dfs(g: Graph, p: int, lists: dict) -> dict:
     # argument needs max(Delta, 2), which differs from Delta only for the
     # one-edge tree
     need = 1 if g.m == 0 else max(g.max_degree, 2) + 2 * p - 1
-    check_lists(g, lists, minimum=need)
-    lists = [lists[x] for x in elements_of(g)]
+    lists = check_lists(g, lists, minimum=need)
     edge_at = _edge_positions(g)
     c: list = [None] * len(lists)
     edge_colors: list[list[int]] = [[] for _ in range(g.n)]
@@ -225,8 +223,7 @@ def label_star_list(g: Graph, p: int, lists: dict) -> dict:
     n = len(leaves)
     if n < 3:
         raise ValueError("the star routine needs at least 3 leaves")
-    check_lists(g, lists, minimum=n + 2 * p - 1)
-    lists = [lists[x] for x in elements_of(g)]
+    lists = check_lists(g, lists, minimum=n + 2 * p - 1)
     edge_at = _edge_positions(g)
     order = [edge_at[center, v] for v in leaves]
     for alpha in sorted(lists[center]):
@@ -591,8 +588,7 @@ def label_outerplanar_list(
         raise ValueError(
             f"maximum degree {delta} below p+3={p + 3}; use the exact list solver instead"
         )
-    check_lists(g, lists, minimum=delta + 2 * p - 1)
-    lists = [lists[x] for x in elements_of(g)]
+    lists = check_lists(g, lists, minimum=delta + 2 * p - 1)
     if audit is None:
         audit = OuterplanarAudit()
 

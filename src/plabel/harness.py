@@ -15,6 +15,7 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
+from math import ceil, log
 
 from .constructive import (
     OuterplanarAudit,
@@ -134,10 +135,33 @@ def _spec_meta(spec: ExperimentSpec) -> dict:
 
 
 def random_k_assignment(g: Graph, k: int, universe: int, rng: random.Random) -> dict:
-    """Each element independently draws a k-subset of {0..universe}."""
+    """Each element independently draws a k-subset of {0..universe}.
+
+    The sets, and the generator's state afterwards, are those of
+    set(rng.sample(range(universe + 1), k)) per element. Below sample's own
+    switch from its pool branch to its set branch, sample's getrandbits calls
+    are made here directly, without its per-call overhead.
+    """
     if universe + 1 < k:
         raise ValueError("universe too small for a k-list")
-    return {x: set(rng.sample(range(universe + 1), k)) for x in elements_of(g)}
+    n = universe + 1
+    if k < 0 or n > 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0):
+        return {x: set(rng.sample(range(n), k)) for x in elements_of(g)}
+    getrandbits = rng.getrandbits
+    draws = [(m, m.bit_length()) for m in range(n, n - k, -1)]
+    colors = list(range(n))
+    lists = {}
+    for x in elements_of(g):
+        pool = colors[:]
+        chosen = set()
+        for m, bits in draws:
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            chosen.add(pool[j])
+            pool[j] = pool[m - 1]
+        lists[x] = chosen
+    return lists
 
 
 def mop_with_degree(n: int, seed: int, min_delta: int = 0, max_delta: int | None = None) -> Graph:
@@ -216,6 +240,8 @@ def run_oracle_suite(p_values=(1, 2, 3, 4), sizes=(1, 2, 3, 4, 5, 6, 7, 8)) -> R
         raise ValueError("p_values and sizes must be non-empty")
     if any(p < 1 for p in p_values):
         raise ValueError("the closed forms need p >= 1")
+    if any(n < 1 for n in sizes):
+        raise ValueError("the closed forms need sizes >= 1")
     report = Report(meta={"suite": "oracle", "p_values": list(p_values), "sizes": list(sizes)})
     for p in p_values:
         for k in sizes:
@@ -419,6 +445,11 @@ def hunt_counterexamples(conjecture: str, spec: ExperimentSpec) -> Report:
     """
     if conjecture not in ("general", "outerplanar"):
         raise ValueError("conjecture must be 'general' or 'outerplanar'")
+    if any(p < 1 for p in spec.p_values):
+        raise ValueError("the conjectured bounds need p >= 1")
+    # trial t runs size t mod len(sizes); outerplanar hunts skip sizes below 3
+    if conjecture == "outerplanar" and max(spec.sizes[: spec.trials]) < 3:
+        raise ValueError("an outerplanar hunt needs a size >= 3 among its trials")
     report = Report(meta={"suite": "hunt", "conjecture": conjecture, **_spec_meta(spec)})
     for p in spec.p_values:
         for trial, g, k in _hunt_graphs(conjecture, spec, p):

@@ -268,17 +268,24 @@ def full_lists(g: Graph, colors) -> dict:
     return {x: pool for x in elements_of(g)}
 
 
-def check_lists(g: Graph, lists: dict, minimum: int | None = None) -> None:
-    """Require a non-empty list for every element, optionally of a minimum size."""
+def check_lists(g: Graph, lists: dict, minimum: int | None = None) -> list:
+    """Require a non-empty list for every element, optionally of a minimum size.
+
+    Returns the caller's lists by element position (in elements_of order).
+    """
+    out = []
     for x in elements_of(g):
-        if x not in lists:
+        colors = lists.get(x)
+        if colors is None and x not in lists:
             raise ValueError(f"missing list for element {element_name(x)}")
-        if not lists[x]:
+        if not colors:
             raise ValueError(f"empty list for element {element_name(x)}")
-        if minimum is not None and len(lists[x]) < minimum:
+        if minimum is not None and len(colors) < minimum:
             raise ValueError(
-                f"list for {element_name(x)} has {len(lists[x])} colors; need at least {minimum}"
+                f"list for {element_name(x)} has {len(colors)} colors; need at least {minimum}"
             )
+        out.append(colors)
+    return out
 
 
 # --- JSON serialization -------------------------------------------------------

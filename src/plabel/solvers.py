@@ -277,9 +277,8 @@ def solve_list(g: Graph, p: int, lists: dict) -> SolveResult:
     """
     if p < 0:
         raise ValueError("separation p must be non-negative")
-    check_lists(g, lists)
+    given = check_lists(g, lists)
     elems = elements_of(g)
-    given = [lists[x] for x in elems]
     # the search narrows the domains it assigns; re-check against the caller's lists
     domains = [set(colors) for colors in given]
     assignment, nodes, seconds = _solve(incidence_graph(g).derived, p, domains)

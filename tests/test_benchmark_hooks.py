@@ -26,3 +26,25 @@ def test_traced_methods_resolve():
 def test_captured_labellers_resolve():
     module = importlib.import_module("plabel.constructive")
     assert [n for n in Context.LABELLERS if not callable(getattr(module, n, None))] == []
+
+
+def test_props_draws_and_checks_through_the_traced_names(monkeypatch):
+    # the tracer times harness.draw_lists_s and labelling.list_checks_s by
+    # wrapping these module attributes; a call that bypasses them reads 0
+    from plabel import constructive, harness
+
+    calls = {"draw": 0, "check": 0}
+
+    def counting(key, original):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(harness, "random_k_assignment",
+                        counting("draw", harness.random_k_assignment))
+    monkeypatch.setattr(constructive, "check_lists",
+                        counting("check", constructive.check_lists))
+    spec = harness.ExperimentSpec(family="tree", sizes=(5,), p_values=(2,), trials=2)
+    assert harness.run_property_suite(spec).ok
+    assert calls == {"draw": 2, "check": 2}

@@ -168,6 +168,14 @@ def test_oracle_rejects_an_empty_range(bounds, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("bounds", [("--size-min", "0", "--size-max", "0"),
+                                    ("--size-min", "-3", "--size-max", "1")])
+def test_oracle_rejects_sizes_below_1(bounds, capsys):
+    # a size below 1 gives no path or star to check; it was skipped silently
+    assert main(["oracle", *bounds]) == 2
+    assert capsys.readouterr().err == "error: the closed forms need sizes >= 1\n"
+
+
 def test_outerplanar_least_size_grows_with_p(tmp_path, capsys):
     # Delta >= p+3 needs p+4 vertices, so 7 at p = 3
     assert main(["props", "--family", "outerplanar", "--p-values", "3",
@@ -224,6 +232,20 @@ def test_hunt_command(tmp_path):
         "--out", str(tmp_path / "hunt.json"),
     ])
     assert code == 0
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--conjecture", "general", "--p-values", "0"), "the conjectured bounds need p >= 1"),
+    (("--conjecture", "general", "--p-values", "-1"), "the conjectured bounds need p >= 1"),
+    (("--conjecture", "outerplanar", "--size-min", "1", "--size-max", "2"),
+     "an outerplanar hunt needs a size >= 3 among its trials"),
+    # trials 0 and 1 run sizes 1 and 2; size 3 would come third
+    (("--conjecture", "outerplanar", "--size-min", "1", "--size-max", "3", "--trials", "2"),
+     "an outerplanar hunt needs a size >= 3 among its trials"),
+])
+def test_hunt_rejects_specs_without_a_hunt(args, message, capsys):
+    assert main(["hunt", *args]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -1,8 +1,15 @@
 import json
+import random
 
 import pytest
 
-from plabel.graphs import Graph, make_path, make_star
+from plabel.graphs import (
+    Graph,
+    make_path,
+    make_random_maximal_outerplanar,
+    make_random_tree,
+    make_star,
+)
 from plabel.harness import (
     ExperimentSpec,
     emit_dot,
@@ -15,7 +22,7 @@ from plabel.harness import (
     run_property_suite,
     small_connected_graphs,
 )
-from plabel.labelling import Edge, Vertex
+from plabel.labelling import Edge, Vertex, elements_of
 
 
 def test_spec_validation():
@@ -159,12 +166,30 @@ def test_family_labellers_are_looked_up_at_call_time(monkeypatch):
 
 
 def test_random_k_assignment_shape():
-    import random
-
     g = make_path(3)
     lists = random_k_assignment(g, 3, 6, random.Random(0))
     assert set(lists) == {Vertex(0), Vertex(1), Vertex(2), Edge(0, 1), Edge(1, 2)}
     assert all(len(v) == 3 and max(v) <= 6 for v in lists.values())
+
+
+@pytest.mark.parametrize(
+    "g", [make_path(4), make_random_tree(5, 1), make_random_maximal_outerplanar(5, 2)],
+    ids=["path", "tree", "outerplanar"],
+)
+def test_random_k_assignment_matches_random_sample(g):
+    # random.sample switches from its pool branch to its set branch above
+    # 21 colors for k <= 5, and above 85 colors for 6 <= k <= 21; cover
+    # universes from the least one, k-1, to one past each side of the switch
+    for k in range(1, 13):
+        top = 22 if k <= 5 else 86
+        for universe in range(k - 1, top):
+            for seed in (0, 1):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                drawn = random_k_assignment(g, k, universe, ours)
+                sampled = {x: set(theirs.sample(range(universe + 1), k))
+                           for x in elements_of(g)}
+                assert drawn == sampled, (k, universe, seed)
+                assert ours.random() == theirs.random(), (k, universe, seed)
 
 
 def test_small_connected_graphs_counts():

@@ -9,6 +9,7 @@ from plabel.graphs import Graph, incidence_graph, make_path, make_star
 from plabel.labelling import (
     Edge,
     Vertex,
+    check_lists,
     element_from_name,
     element_key,
     element_name,
@@ -274,3 +275,34 @@ def test_json_readers_reject_malformed_shapes(text):
 def test_element_key_orders_mixed_sets():
     xs = [Edge(0, 1), Vertex(2), Edge(0, 2), Vertex(0)]
     assert sorted(xs, key=element_key) == [Vertex(0), Vertex(2), Edge(0, 1), Edge(0, 2)]
+
+
+def test_check_lists_returns_the_callers_lists_by_position():
+    g = make_star(2)  # elements v:0 v:1 v:2 e:0-1 e:0-2
+    lists = {x: {i, i + 1, i + 2} for i, x in enumerate(elements_of(g))}
+    lists[Vertex(9)] = set()  # a key that is no element is ignored
+    got = check_lists(g, lists, minimum=3)
+    assert got == [lists[x] for x in elements_of(g)]
+    assert all(a is lists[x] for a, x in zip(got, elements_of(g)))
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({Vertex(1): "drop", Edge(0, 2): "drop"}, "missing list for element v:1"),
+    ({Edge(0, 1): "drop", Edge(0, 2): set()}, "missing list for element e:0-1"),
+    ({Edge(0, 1): "drop", Vertex(2): set()}, "empty list for element v:2"),
+    ({Vertex(2): set(), Edge(0, 1): set()}, "empty list for element v:2"),
+    ({Edge(0, 2): None}, "empty list for element e:0-2"),
+    ({Vertex(0): {1}, Edge(0, 1): set()}, "list for v:0 has 1 colors; need at least 2"),
+    ({Edge(0, 2): {5}, Vertex(1): {4}}, "list for v:1 has 1 colors; need at least 2"),
+])
+def test_check_lists_names_the_first_bad_element(bad, message):
+    g = make_star(2)
+    lists = {x: {0, 1, 2} for x in elements_of(g)}
+    for x, colors in bad.items():
+        if colors == "drop":
+            del lists[x]
+        else:
+            lists[x] = colors
+    with pytest.raises(ValueError) as info:
+        check_lists(g, lists, minimum=2)
+    assert str(info.value) == message
