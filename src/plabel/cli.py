@@ -24,9 +24,9 @@ from .harness import (
 from .labelling import full_lists, labelling_to_json, lists_from_json
 from .solvers import (
     Certificate,
+    _min_span_scan,
     certify_choosable,
     find_bad_assignment,
-    min_span,
     recheck_certificate,
     solve_list,
     solve_span,
@@ -58,19 +58,15 @@ def _load_lists(args):
 
 def cmd_solve(args) -> int:
     g = _load_graph(args)
-    if args.k is not None:
+    if args.k is None:
+        lam, result = _min_span_scan(g, args.p)
+        print(f"lambda={lam} chi={lam + 1}")
+    else:
         result = solve_span(g, args.p, args.k)
-        if result.labelled:
-            print(f"labelled with colors in 0..{args.k} ({result.nodes} nodes)")
-            _write_out(labelling_to_json(args.p, result.labelling), args.out)
-            if args.dot:
-                Path(args.dot).write_text(emit_dot(g, result.labelling), encoding="utf-8")
+        if not result.labelled:
+            print(f"infeasible with colors in 0..{args.k} ({result.nodes} nodes)")
             return 0
-        print(f"infeasible with colors in 0..{args.k} ({result.nodes} nodes)")
-        return 0
-    lam = min_span(g, args.p)
-    print(f"lambda={lam} chi={lam + 1}")
-    result = solve_span(g, args.p, lam)
+        print(f"labelled with colors in 0..{args.k} ({result.nodes} nodes)")
     _write_out(labelling_to_json(args.p, result.labelling), args.out)
     if args.dot:
         Path(args.dot).write_text(emit_dot(g, result.labelling), encoding="utf-8")
@@ -111,28 +107,26 @@ def cmd_recheck(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    audit = None  # star-span runs no reduction, so it writes no audit trail
     if args.family == "star-span":
         if args.n is None:
             raise ValueError("--n is required for star-span")
         labelling = label_star_span(args.n, args.p)
-        g = make_star(args.n)
-        _write_out(labelling_to_json(args.p, labelling), args.out)
-        if args.dot:
-            Path(args.dot).write_text(emit_dot(g, labelling), encoding="utf-8")
-        return 0
-    g = _load_graph(args)
-    family = FAMILIES[args.family]
-    if args.lists:
-        p, lists = _load_lists(args)
+        g, p = make_star(args.n), args.p
     else:
-        p = args.p
-        k = family.list_size(g, p)
-        lists = full_lists(g, range(k))
-        print(f"using full lists 0..{k - 1}", file=sys.stderr)
-    audit = OuterplanarAudit()
-    labelling = family.label(g, p, lists, audit)
+        g = _load_graph(args)
+        family = FAMILIES[args.family]
+        if args.lists:
+            p, lists = _load_lists(args)
+        else:
+            p = args.p
+            k = family.list_size(g, p)
+            lists = full_lists(g, range(k))
+            print(f"using full lists 0..{k - 1}", file=sys.stderr)
+        audit = OuterplanarAudit()
+        labelling = family.label(g, p, lists, audit)
     _write_out(labelling_to_json(p, labelling), args.out)
-    if args.audit:
+    if args.audit and audit is not None:
         trail = {
             "configurations": [s["kind"] for s in audit.steps],
             "steps": audit.steps,

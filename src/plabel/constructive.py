@@ -406,19 +406,19 @@ def _find_pair(vert_pool: set, edge_pool: set, p: int) -> tuple[int, int] | None
 class _Rebuilder:
     """Working state for the outerplanar extension phase.
 
-    Holds the partially rebuilt graph (adjacency plus current edge set), the
-    growing labelling and the fixed lists by element position of g, and the
-    audit counters. Each reduction kind has a method that re-inserts and colors its piece.
+    Holds the partially rebuilt graph as an adjacency dict, the growing
+    labelling and the fixed lists by element position of g, and the audit
+    counters. Each reduction kind has a method that re-inserts and colors its
+    piece; when it is called, adj is the graph right after that reduction.
     """
 
     def __init__(self, g: Graph, p: int, lists: list, audit: OuterplanarAudit,
-                 adj: dict, cur_edges: set, c: list):
+                 adj: dict, c: list):
         self.g = g
         self.p = p
         self.lists = lists
         self.audit = audit
         self.adj = adj
-        self.cur_edges = cur_edges
         self.c = c
         self.edge_at = _edge_positions(g)
         self.resolved_whole_graph = False
@@ -426,7 +426,6 @@ class _Rebuilder:
     def _add_edge(self, u, v):
         self.adj.setdefault(u, set()).add(v)
         self.adj.setdefault(v, set()).add(u)
-        self.cur_edges.add((u, v) if u < v else (v, u))
 
     def extend_leaf(self, v, u):
         c, p = self.c, self.p
@@ -438,8 +437,9 @@ class _Rebuilder:
         c[e] = _least(pool_e)
         c[v] = _least(set(self.lists[v]) - {c[u]} - p_ball(c[e], p))
 
-    def extend_c1(self, u, v, x, y):
+    def extend_c1(self, u, v):
         c, p, edge_at = self.c, self.p, self.edge_at
+        (x,), (y,) = self.adj[u], self.adj[v]  # each had degree 2
         self._add_edge(u, v)
         e = edge_at[u, v]
         c[u] = c[v] = None
@@ -475,8 +475,9 @@ class _Rebuilder:
             c[e] = m1
             c[second] = _least(spool2 - p_ball(m1, p))
 
-    def extend_c2(self, u, v1, v2, z):
+    def extend_c2(self, u, v1, v2):
         c, p, edge_at = self.c, self.p, self.edge_at
+        z = next(w for w in self.adj[v1] if w != v2)  # v1 had degree 3: u, v2 and z
         self._add_edge(u, v1)
         e = edge_at[u, v1]
         c[u] = None
@@ -526,7 +527,7 @@ class _Rebuilder:
             return
         # the partly rebuilt graph, whose ends of unrestored edges may share a
         # color, and the position in g of each of its element positions
-        working = Graph(self.g.n, self.cur_edges)
+        working = Graph(self.g.n, ((u, v) for u, nbs in self.adj.items() for v in nbs))
         in_g = [*range(self.g.n), *(edge_at[uv] for uv in working.sorted_edges())]
         # tight case: swap the colors of the hub-side and far-side edges at
         # v1. The color multiset at v1 is unchanged; still, the swap is
@@ -593,55 +594,33 @@ def label_outerplanar_list(
         audit = OuterplanarAudit()
 
     adj: dict[int, set[int]] = {v: set(g.adj[v]) for v in range(g.n)}
-    cur_edges: set[tuple[int, int]] = set(g.edges)
 
-    def drop_edge(u, v):
-        adj[u].discard(v)
-        adj[v].discard(u)
-        cur_edges.discard((u, v) if u < v else (v, u))
-
-    # reduction phase: peel to an edgeless core, remembering each step's roles
-    steps: list[tuple] = []
-    while cur_edges:
-        match = _scan_configuration(adj)
-        if match is None:
-            raise TheoremViolation(
-                "no reducible configuration in a working graph of minimum degree >= 2; "
-                "the input cannot be outerplanar"
-            )
-        if isinstance(match, Leaf):
-            steps.append(("leaf", match.v, match.u))
-            drop_edge(match.v, match.u)
-            del adj[match.v]
-        elif isinstance(match, C1):
-            u, v = match.u, match.v
-            x = next(w for w in adj[u] if w != v)
-            y = next(w for w in adj[v] if w != u)
-            steps.append(("c1", u, v, x, y))
-            drop_edge(u, v)
-        elif isinstance(match, C2):
-            u, v1, v2 = match.u, match.v1, match.v2
-            z = next(w for w in adj[v1] if w not in (u, v2))
-            steps.append(("c2", u, v1, v2, z))
-            drop_edge(u, v1)
-        else:
-            steps.append(("c3", match.x, match.u1, match.v1, match.u2, match.v2))
-            drop_edge(match.x, match.u1)
+    # reduction phase: peel configurations while there is one; the first two
+    # fields of each name the edge it removes, and a leaf goes with its edge
+    steps: list[Configuration] = []
+    while (step := _scan_configuration(adj)) is not None:
+        steps.append(step)
+        a, b, *_ = vars(step).values()
+        adj[a].discard(b)
+        adj[b].discard(a)
+        if type(step) is Leaf:
+            del adj[a]
+    if any(adj.values()):
+        raise TheoremViolation(
+            "no reducible configuration in a working graph of minimum degree >= 2; "
+            "the input cannot be outerplanar"
+        )
 
     # edgeless core: least color of each remaining vertex's list
     core = [min(lists[i]) if i in adj else None for i in range(len(lists))]
 
     # extension phase: undo the reductions last-first, so each step sees its
     # own reduced graph fully labelled
-    rebuilder = _Rebuilder(g, p, lists, audit, adj, cur_edges, core)
-    handlers = {
-        "leaf": rebuilder.extend_leaf,
-        "c1": rebuilder.extend_c1,
-        "c2": rebuilder.extend_c2,
-        "c3": rebuilder.extend_c3,
-    }
+    rebuilder = _Rebuilder(g, p, lists, audit, adj, core)
+    extend = {Leaf: rebuilder.extend_leaf, C1: rebuilder.extend_c1,
+              C2: rebuilder.extend_c2, C3: rebuilder.extend_c3}
     for step in reversed(steps):
-        handlers[step[0]](*step[1:])
+        extend[type(step)](*vars(step).values())
         if rebuilder.resolved_whole_graph:
             break
     return _checked_output(g, p, rebuilder.c, lists)

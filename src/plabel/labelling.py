@@ -326,14 +326,26 @@ def _json_colors(value, name: str) -> set[int]:
     return {_json_check(c, int, f"color of {name}") for c in colors}
 
 
+def _json_elements(entries: dict, read) -> dict:
+    """Key each entry by its element, its value read as read(value, name).
+
+    Two names for one element ("e:0-1" and "e:1-0") are an error, not an
+    override by the later one.
+    """
+    out = {}
+    for name, value in entries.items():
+        x = element_from_name(name)
+        if x in out:
+            raise ValueError(f"{name!r} names {element_name(x)}, which an earlier key named")
+        out[x] = read(value, name)
+    return out
+
+
 def labelling_from_json(text: str) -> tuple[int, dict]:
     obj = _json_check(_json_loads(text), dict, "labelling file")
     p = _json_check(obj["p"], int, "p")
     labels = _json_check(obj["labels"], dict, "labels")
-    labelling = {
-        element_from_name(k): _json_check(c, int, f"color of {k}") for k, c in labels.items()
-    }
-    return p, labelling
+    return p, _json_elements(labels, lambda c, k: _json_check(c, int, f"color of {k}"))
 
 
 def lists_to_json(p: int, lists: dict) -> str:
@@ -347,4 +359,4 @@ def lists_from_json(text: str) -> tuple[int, dict]:
     obj = _json_check(_json_loads(text), dict, "list file")
     p = _json_check(obj["p"], int, "p")
     lists = _json_check(obj["lists"], dict, "lists")
-    return p, {element_from_name(k): _json_colors(v, k) for k, v in lists.items()}
+    return p, _json_elements(lists, _json_colors)

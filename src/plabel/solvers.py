@@ -25,9 +25,9 @@ from .labelling import (
     _edge_positions,
     _json_check,
     _json_colors,
+    _json_elements,
     _json_loads,
     check_lists,
-    element_from_name,
     element_key,
     element_name,
     elements_of,
@@ -310,11 +310,12 @@ def lp1_solve_span(g: Graph, p: int, k: int) -> SolveResult:
     return SolveResult(labels, nodes, seconds)
 
 
-def _least_span(solve, g: Graph, p: int, k: int) -> int:
-    """Least span from k upward at which solve(g, p, span) finds a labelling."""
-    while not solve(g, p, k).labelled:
+def _least_span(solve, g: Graph, p: int, k: int) -> tuple[int, SolveResult]:
+    """Least span from k upward at which solve(g, p, span) finds a labelling,
+    with the result of that solve."""
+    while not (result := solve(g, p, k)).labelled:
         k += 1
-    return k
+    return k, result
 
 
 def _span_lower_bound(g: Graph, p: int) -> int:
@@ -325,15 +326,19 @@ def _span_lower_bound(g: Graph, p: int) -> int:
     return g.max_degree - 1 if p == 0 else g.max_degree + p - 1
 
 
+def _min_span_scan(g: Graph, p: int) -> tuple[int, SolveResult]:
+    if g.n == 0:
+        raise ValueError("empty graph has no labelling number")
+    return _least_span(solve_span, g, p, max(0, _span_lower_bound(g, p)))
+
+
 def min_span(g: Graph, p: int) -> int:
     """Least k admitting a labelling into {0..k}, by linear scan from below.
 
     The scan always terminates: every graph has a labelling of span at most
     2*Delta + p - 1.
     """
-    if g.n == 0:
-        raise ValueError("empty graph has no labelling number")
-    return _least_span(solve_span, g, p, max(0, _span_lower_bound(g, p)))
+    return _min_span_scan(g, p)[0]
 
 
 def min_colors(g: Graph, p: int) -> int:
@@ -344,7 +349,7 @@ def min_colors(g: Graph, p: int) -> int:
 def lp1_min_span(g: Graph, p: int) -> int:
     if g.n == 0:
         raise ValueError("empty graph")
-    return _least_span(lp1_solve_span, g, p, 0 if g.m == 0 else max(p, g.max_degree - 1))
+    return _least_span(lp1_solve_span, g, p, 0 if g.m == 0 else max(p, g.max_degree - 1))[0]
 
 
 # --- normalized-assignment enumeration ----------------------------------------
@@ -476,10 +481,9 @@ class Certificate:
         obj = _json_check(_json_loads(text), dict, "certificate")
         assignment = obj.get("assignment")
         if assignment is not None:
-            assignment = {
-                element_from_name(name): _json_colors(vals, name)
-                for name, vals in _json_check(assignment, dict, "assignment").items()
-            }
+            assignment = _json_elements(
+                _json_check(assignment, dict, "assignment"), _json_colors
+            )
         budget, seed = obj.get("budget"), obj.get("seed")
         normalization = _json_check(obj.get("normalization", []), list, "normalization")
         return Certificate(
@@ -627,5 +631,7 @@ def recheck_certificate(cert: Certificate) -> tuple[bool, str]:
         )
         if fresh.kind != "exhausted" or fresh.checked != cert.checked:
             return False, "replay disagrees with the exhaustion record"
+        if fresh.complete != cert.complete:
+            return False, f"replay gives complete={fresh.complete}, the record {cert.complete}"
         return True, f"exhaustion replayed over {fresh.checked} assignments"
     return False, f"unknown certificate kind {cert.kind!r}"

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from plabel.cli import build_parser, main
 from plabel.graphs import emit_edge_list, emit_graph6, make_path, make_star, parse_graph6
 from plabel.harness import FAMILIES, make_instance
-from plabel.labelling import full_lists, is_valid, labelling_from_json, lists_to_json
+from plabel.labelling import (
+    full_lists,
+    is_valid,
+    labelling_from_json,
+    labelling_to_json,
+    lists_to_json,
+)
 from plabel.solvers import Certificate, find_bad_assignment
 
 
@@ -38,6 +44,27 @@ def test_solve_minimizes(p4_file, capsys, tmp_path):
 def test_solve_fixed_k(p4_file, capsys):
     assert main(["solve", "--graph", p4_file, "--p", "2", "--k", "3"]) == 0
     assert "infeasible" in capsys.readouterr().out
+
+
+def test_solve_without_k_solves_each_span_once(tmp_path, capsys, monkeypatch):
+    import plabel.solvers as solvers
+
+    verdicts = []
+    solve_list = solvers.solve_list
+
+    def counted(g, p, lists):
+        result = solve_list(g, p, lists)
+        verdicts.append(result.labelled)
+        return result
+
+    monkeypatch.setattr(solvers, "solve_list", counted)
+    gfile = tmp_path / "p3.txt"
+    gfile.write_text(emit_edge_list(make_path(3)))
+    out = tmp_path / "lab.json"
+    assert main(["solve", "--graph", str(gfile), "--p", "2", "--out", str(out)]) == 0
+    assert verdicts == [False, True]  # span 3 is infeasible, span 4 labels
+    assert capsys.readouterr().out == "lambda=4 chi=5\n"
+    assert out.read_text() == labelling_to_json(2, solvers.solve_span(make_path(3), 2, 4).labelling)
 
 
 def test_list_solve(star3_file, tmp_path, capsys):
@@ -75,6 +102,25 @@ def test_recheck_rejects_foreign_elements(tmp_path, capsys):
     cert_path.write_text(json.dumps(obj))
     assert main(["recheck", str(cert_path)]) == 1
     assert "not in the graph" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["lex", "random"])
+def test_recheck_rejects_a_forged_complete_flag(tmp_path, capsys, mode):
+    gfile = tmp_path / "p3.txt"
+    gfile.write_text(emit_edge_list(make_path(3)))
+    cert_path = tmp_path / "cert.json"
+    assert main([
+        "choosability", "--graph", str(gfile), "--p", "2", "--k", "5", "--budget", "3",
+        "--mode", mode, "--out", str(cert_path),
+    ]) == 0
+    obj = json.loads(cert_path.read_text())
+    assert (obj["kind"], obj["checked"], obj["complete"]) == ("exhausted", 3, False)
+    assert main(["recheck", str(cert_path)]) == 0
+    obj["complete"] = True
+    cert_path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["recheck", str(cert_path)]) == 1
+    assert capsys.readouterr().out == "FAILED: replay gives complete=False, the record True\n"
 
 
 def test_choosability_exhaustive(tmp_path, capsys):
@@ -274,7 +320,16 @@ def test_graph6_input_support(tmp_path, capsys):
     assert "lambda=" in capsys.readouterr().out
 
 
-_BAD_LISTS = ["[1, 2]", '"x"', '{"p": 1, "lists": {"v:0": 5}}']
+_BAD_LISTS = [
+    "[1, 2]",
+    '"x"',
+    '{"p": 1, "lists": {"v:0": 5}}',
+    # a list for every element of star3, and then edge 0-1 named a second time
+    json.dumps({"p": 2, "lists": {
+        name: list(range(6))
+        for name in ("v:0", "v:1", "v:2", "v:3", "e:0-1", "e:0-2", "e:0-3", "e:1-0")
+    }}),
+]
 _BAD_CERTIFICATES = [
     "[1]",
     json.dumps({"kind": "lower-witness", "p": 1, "k": 2, "U": 3, "graph": "A_", "checked": 1,

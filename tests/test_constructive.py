@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -307,6 +308,19 @@ def test_outerplanar_reports_non_outerplanar_input():
         label_outerplanar_list(k5, 1, full_lists(k5, range(6)))
 
 
+def test_outerplanar_reports_a_stall_after_progress():
+    # K5 with the path 4-5-6 hanging off vertex 4: the leaves 6 and then 5
+    # reduce, and the K5 left over has no reducible configuration
+    g = Graph(7, [(u, v) for u in range(5) for v in range(u + 1, 5)] + [(4, 5), (5, 6)])
+    assert find_configuration(g) == Leaf(6, 5)
+    message = (
+        "no reducible configuration in a working graph of minimum degree >= 2; "
+        "the input cannot be outerplanar"
+    )
+    with pytest.raises(TheoremViolation, match=f"^{re.escape(message)}$"):
+        label_outerplanar_list(g, 1, full_lists(g, range(6)))
+
+
 def test_outerplanar_agrees_with_solver_on_small_instances():
     rng = random.Random(SEED + 7)
     for trial in range(40):
@@ -353,7 +367,7 @@ def test_c3_interchange_tight_case():
     audit = OuterplanarAudit()
     adj = {v: set(h.adj[v]) for v in range(h.n)}
     elements = elements_of(g)
-    rb = _Rebuilder(g, p, [lists[x] for x in elements], audit, adj, set(h.edges),
+    rb = _Rebuilder(g, p, [lists[x] for x in elements], audit, adj,
                     [c.get(x) for x in elements])
     rb.extend_c3(0, 1, 2, 9, 8)
     labelled = dict(zip(elements, rb.c))
@@ -377,7 +391,7 @@ def test_c3_fallback_recovers_from_corrupted_state():
     audit = OuterplanarAudit()
     adj = {v: set(h.adj[v]) for v in range(h.n)}
     elements = elements_of(g)
-    rb = _Rebuilder(g, p, [lists[x] for x in elements], audit, adj, set(h.edges),
+    rb = _Rebuilder(g, p, [lists[x] for x in elements], audit, adj,
                     [c.get(x) for x in elements])
     rb.extend_c3(0, 1, 2, 9, 8)
     labelled = dict(zip(elements, rb.c))

@@ -251,6 +251,7 @@ def test_certificate_json_round_trip():
     {"budget": 1.0},
     {"complete": "yes"},
     {"normalization": "shift-min-0"},
+    {"assignment": {"v:0": [0, 1, 2, 3], "v:00": [0, 1, 2, 3]}},
 ])
 def test_certificate_from_json_rejects_malformed_fields(change):
     obj = json.loads(find_bad_assignment(make_star(3), 2, 4, budget=10).to_json())
