@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .constructive import OuterplanarAudit, TheoremViolation, label_star_span
@@ -127,14 +128,7 @@ def cmd_construct(args) -> int:
         labelling = family.label(g, p, lists, audit)
     _write_out(labelling_to_json(p, labelling), args.out)
     if args.audit and audit is not None:
-        trail = {
-            "configurations": [s["kind"] for s in audit.steps],
-            "steps": audit.steps,
-            "interchanges": audit.interchanges,
-            "invalid_swaps": audit.invalid_swaps,
-            "restricted_solves": audit.restricted_solves,
-            "full_resolves": audit.full_resolves,
-        }
+        trail = {"configurations": [s["kind"] for s in audit.steps], **asdict(audit)}
         Path(args.audit).write_text(json.dumps(trail, indent=2) + "\n", encoding="utf-8")
     if args.dot:
         Path(args.dot).write_text(emit_dot(g, labelling), encoding="utf-8")

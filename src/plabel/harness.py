@@ -13,7 +13,7 @@ import io
 import json
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations, permutations
 from math import ceil, log
 
@@ -96,6 +96,18 @@ class Report:
     def ok(self) -> bool:
         return all(v["pass"] for v in self.verdicts)
 
+    def add_row(self, instance, family, n, p, k, outcome, span="", **extra) -> None:
+        self.rows.append({"instance": instance, "family": family, "n": n, "p": p, "k": k,
+                          "outcome": outcome, "span": span, **extra})
+
+    def check(self, claim, instance, expected, actual, passed=None, certificate=None) -> None:
+        """Append a verdict; it passes when actual == expected unless passed says otherwise."""
+        verdict = {"claim": claim, "instance": instance, "expected": expected, "actual": actual,
+                   "pass": actual == expected if passed is None else passed}
+        if certificate is not None:
+            verdict["certificate"] = certificate
+        self.verdicts.append(verdict)
+
     def sorted_rows(self) -> list:
         return sorted(self.rows, key=lambda r: str(r.get("instance", "")))
 
@@ -119,19 +131,6 @@ class Report:
 
 def _rng(*parts) -> random.Random:
     return random.Random("|".join(str(x) for x in parts))
-
-
-def _spec_meta(spec: ExperimentSpec) -> dict:
-    return {
-        "family": spec.family,
-        "sizes": list(spec.sizes),
-        "p_values": list(spec.p_values),
-        "policy": spec.policy,
-        "trials": spec.trials,
-        "seed": spec.seed,
-        "budget": spec.budget,
-        "universe": spec.universe,
-    }
 
 
 def random_k_assignment(g: Graph, k: int, universe: int, rng: random.Random) -> dict:
@@ -233,6 +232,21 @@ def make_instance(family: str, size: int, p: int, seed: int, trial: int) -> Grap
 # --- oracle tables ---------------------------------------------------------------
 
 
+# One row per family: name, instance stem, least size, maker (size -> graph),
+# color count (g, p -> chi), closed form (size, p -> chi), and whether the span
+# must also sit in the bipartite band [Delta+p-1, Delta+p]. The stars' size is
+# their leaf count.
+_ORACLE = (
+    ("path", "path-k", 2, lambda k: make_path(k), lambda g, p: min_colors(g, p),
+     lambda k, p: p + 2 if k == 2 else p + 3, False),
+    ("star", "star-n", 1, lambda n: make_star(n), lambda g, p: min_colors(g, p),
+     lambda n, p: n + p if p < n else n + p + 1, True),
+    ("vertex-path", "vertexpath-k", 2, lambda k: make_path(k),
+     lambda g, p: lp1_min_span(g, p) + 1,
+     lambda k, p: p + 1 if k == 2 else (p + 2 if k <= 4 else p + 3), False),
+)
+
+
 def run_oracle_suite(p_values=(1, 2, 3, 4), sizes=(1, 2, 3, 4, 5, 6, 7, 8)) -> Report:
     """Exact solver against the closed forms for paths and stars, plus the
     distance-two vertex-labelling table for paths. Any mismatch fails."""
@@ -243,58 +257,20 @@ def run_oracle_suite(p_values=(1, 2, 3, 4), sizes=(1, 2, 3, 4, 5, 6, 7, 8)) -> R
     if any(n < 1 for n in sizes):
         raise ValueError("the closed forms need sizes >= 1")
     report = Report(meta={"suite": "oracle", "p_values": list(p_values), "sizes": list(sizes)})
-    for p in p_values:
-        for k in sizes:
-            if k < 2:
-                continue
-            chi = min_colors(make_path(k), p)
-            expected = p + 2 if k == 2 else p + 3
-            inst = f"oracle-path-k{k:02d}-p{p}"
-            report.rows.append(
-                {"instance": inst, "family": "path", "n": k, "p": p, "k": chi - 1,
-                 "outcome": "solved", "span": chi - 1}
-            )
-            report.verdicts.append(
-                {"claim": "path-color-count", "instance": inst,
-                 "expected": expected, "actual": chi, "pass": chi == expected}
-            )
-    for p in p_values:
-        for n in sizes:
-            if n < 1:
-                continue
-            chi = min_colors(make_star(n), p)
-            lam = chi - 1
-            expected = n + p if p < n else n + p + 1
-            inst = f"oracle-star-n{n:02d}-p{p}"
-            report.rows.append(
-                {"instance": inst, "family": "star", "n": n + 1, "p": p, "k": lam,
-                 "outcome": "solved", "span": lam}
-            )
-            report.verdicts.append(
-                {"claim": "star-color-count", "instance": inst,
-                 "expected": expected, "actual": chi, "pass": chi == expected}
-            )
-            # bipartite band: span within [Delta+p-1, Delta+p]
-            report.verdicts.append(
-                {"claim": "star-bipartite-band", "instance": inst,
-                 "expected": f"[{n + p - 1},{n + p}]", "actual": lam,
-                 "pass": n + p - 1 <= lam <= n + p}
-            )
-    for p in p_values:
-        for k in sizes:
-            if k < 2:
-                continue
-            chi = lp1_min_span(make_path(k), p) + 1
-            expected = p + 1 if k == 2 else (p + 2 if k <= 4 else p + 3)
-            inst = f"oracle-vertexpath-k{k:02d}-p{p}"
-            report.rows.append(
-                {"instance": inst, "family": "vertex-path", "n": k, "p": p, "k": chi - 1,
-                 "outcome": "solved", "span": chi - 1}
-            )
-            report.verdicts.append(
-                {"claim": "vertex-path-color-count", "instance": inst,
-                 "expected": expected, "actual": chi, "pass": chi == expected}
-            )
+    for family, stem, least, make, count, closed, band in _ORACLE:
+        for p in p_values:
+            for size in sizes:
+                if size < least:
+                    continue
+                g = make(size)
+                chi = count(g, p)
+                inst = f"oracle-{stem}{size:02d}-p{p}"
+                report.add_row(inst, family, g.n, p, chi - 1, "solved", chi - 1)
+                report.check(f"{family}-color-count", inst, closed(size, p), chi)
+                if band:
+                    low = g.max_degree + p - 1
+                    report.check(f"{family}-bipartite-band", inst, f"[{low},{low + 1}]",
+                                 chi - 1, passed=low <= chi - 1 <= low + 1)
     return report
 
 
@@ -303,6 +279,25 @@ def run_oracle_suite(p_values=(1, 2, 3, 4), sizes=(1, 2, 3, 4, 5, 6, 7, 8)) -> R
 
 def _counterexample(g: Graph, p: int, lists: dict) -> dict:
     return {"graph": emit_graph6(g), "p": p, "lists": json.loads(lists_to_json(p, lists))}
+
+
+def _trials(spec: ExperimentSpec, p: int):
+    """Each property trial at p: its index, size, instance id, graph and
+    guaranteed list size."""
+    for trial in range(spec.trials):
+        size = spec.sizes[trial % len(spec.sizes)]
+        g = make_instance(spec.family, size, p, spec.seed, trial)
+        k = required_list_size(spec.family, g, p)
+        yield trial, size, f"props-{spec.family}-n{size:02d}-p{p}-t{trial:04d}", g, k
+
+
+def _hunt(report: Report, inst: str, family: str, g: Graph, p: int, k: int,
+          universe: int | None, budget: int):
+    """A lexicographic witness hunt and its report row. Returns the outcome
+    and, for a lower witness, its certificate as JSON data."""
+    cert = find_bad_assignment(g, p, k, universe=universe, budget=budget, mode="lex")
+    report.add_row(inst, family, g.n, p, k, cert.kind, nodes=cert.checked)
+    return cert.kind, json.loads(cert.to_json()) if cert.kind == "lower-witness" else None
 
 
 def run_property_suite(spec: ExperimentSpec) -> Report:
@@ -315,65 +310,41 @@ def run_property_suite(spec: ExperimentSpec) -> Report:
     least = max(map(family.min_size, spec.p_values))
     if min(spec.sizes) < least:
         raise ValueError(f"family {spec.family!r} needs size >= {least}")
-    report = Report(meta={"suite": "props", **_spec_meta(spec)})
+    report = Report(meta={"suite": "props", **asdict(spec)})
     if spec.policy == "adversarial-search":
         return _adversarial_property_suite(spec, report)
     for p in spec.p_values:
-        failures = 0
-        violations = 0
-        full_resolves = 0
-        for trial in range(spec.trials):
-            size = spec.sizes[trial % len(spec.sizes)]
-            g = make_instance(spec.family, size, p, spec.seed, trial)
-            k = required_list_size(spec.family, g, p)
+        failures = violations = full_resolves = 0
+        for trial, size, inst, g, k in _trials(spec, p):
             rng = _rng(spec.seed, spec.family, size, p, trial)
             if spec.policy == "full-range":
                 lists = full_lists(g, range(k))
             else:
                 universe = spec.universe if spec.universe is not None else k + 2 * p
                 lists = random_k_assignment(g, k, universe, rng)
-            inst = f"props-{spec.family}-n{size:02d}-p{p}-t{trial:04d}"
             audit = OuterplanarAudit()
             try:
                 labelling = family.label(g, p, lists, audit)
             except (AssertionError, TheoremViolation) as exc:
                 failures += 1
-                if isinstance(exc, TheoremViolation):
-                    violations += 1
-                report.rows.append(
-                    {"instance": inst, "family": spec.family, "n": g.n, "p": p, "k": k,
-                     "outcome": "failed", "span": "", "fallbacks": audit.fallbacks}
-                )
-                report.verdicts.append(
-                    {"claim": f"{spec.family}-labelling", "instance": inst,
-                     "expected": "labelled", "actual": f"{type(exc).__name__}: {exc}",
-                     "pass": False, "certificate": _counterexample(g, p, lists)}
-                )
+                violations += isinstance(exc, TheoremViolation)
+                report.add_row(inst, spec.family, g.n, p, k, "failed", fallbacks=audit.fallbacks)
+                report.check(f"{spec.family}-labelling", inst, "labelled",
+                             f"{type(exc).__name__}: {exc}",
+                             certificate=_counterexample(g, p, lists))
                 continue
             full_resolves += audit.full_resolves
             colors = labelling.values()
-            report.rows.append(
-                {"instance": inst, "family": spec.family, "n": g.n, "p": p, "k": k,
-                 "outcome": "labelled", "span": max(colors) - min(colors),
-                 "fallbacks": audit.fallbacks}
-            )
+            report.add_row(inst, spec.family, g.n, p, k, "labelled", max(colors) - min(colors),
+                           fallbacks=audit.fallbacks)
             if trial % _CROSS_CHECK_EVERY == 0 and g.n + g.m <= 12:
                 if not solve_list(g, p, lists).labelled:
-                    report.verdicts.append(
-                        {"claim": f"{spec.family}-solver-agreement", "instance": inst,
-                         "expected": "labelable", "actual": "solver-infeasible",
-                         "pass": False, "certificate": _counterexample(g, p, lists)}
-                    )
-        report.verdicts.append(
-            {"claim": f"{spec.family}-zero-failures-p{p}", "instance": f"props-{spec.family}-p{p}",
-             "expected": 0, "actual": failures, "pass": failures == 0}
-        )
-        report.verdicts.append(
-            {"claim": f"{spec.family}-zero-research-events-p{p}",
-             "instance": f"props-{spec.family}-p{p}",
-             "expected": 0, "actual": violations + full_resolves,
-             "pass": violations + full_resolves == 0}
-        )
+                    report.check(f"{spec.family}-solver-agreement", inst, "labelable",
+                                 "solver-infeasible", certificate=_counterexample(g, p, lists))
+        summary = f"props-{spec.family}-p{p}"
+        report.check(f"{spec.family}-zero-failures-p{p}", summary, 0, failures)
+        report.check(f"{spec.family}-zero-research-events-p{p}", summary, 0,
+                     violations + full_resolves)
     return report
 
 
@@ -382,30 +353,14 @@ def _adversarial_property_suite(spec: ExperimentSpec, report: Report) -> Report:
     there would contradict a proven bound, so the expectation is exhaustion."""
     for p in spec.p_values:
         witnesses = 0
-        for trial in range(spec.trials):
-            size = spec.sizes[trial % len(spec.sizes)]
-            g = make_instance(spec.family, size, p, spec.seed, trial)
-            k = required_list_size(spec.family, g, p)
-            cert = find_bad_assignment(
-                g, p, k, universe=spec.universe, budget=spec.budget, mode="lex"
-            )
-            inst = f"props-{spec.family}-n{size:02d}-p{p}-t{trial:04d}"
-            report.rows.append(
-                {"instance": inst, "family": spec.family, "n": g.n, "p": p, "k": k,
-                 "outcome": cert.kind, "span": "", "nodes": cert.checked}
-            )
-            if cert.kind == "lower-witness":
+        for _, _, inst, g, k in _trials(spec, p):
+            kind, witness = _hunt(report, inst, spec.family, g, p, k, spec.universe, spec.budget)
+            if witness is not None:
                 witnesses += 1
-                report.verdicts.append(
-                    {"claim": f"{spec.family}-guarantee-adversarial", "instance": inst,
-                     "expected": "exhausted", "actual": "lower-witness", "pass": False,
-                     "certificate": json.loads(cert.to_json())}
-                )
-        report.verdicts.append(
-            {"claim": f"{spec.family}-zero-witnesses-p{p}",
-             "instance": f"props-{spec.family}-p{p}",
-             "expected": 0, "actual": witnesses, "pass": witnesses == 0}
-        )
+                report.check(f"{spec.family}-guarantee-adversarial", inst, "exhausted", kind,
+                             certificate=witness)
+        report.check(f"{spec.family}-zero-witnesses-p{p}", f"props-{spec.family}-p{p}", 0,
+                     witnesses)
     return report
 
 
@@ -416,8 +371,11 @@ def _hunt_graphs(conjecture: str, spec: ExperimentSpec, p: int):
     for trial in range(spec.trials):
         size = spec.sizes[trial % len(spec.sizes)]
         if conjecture == "outerplanar":
-            # the open regime: outerplanar with maximum degree at most p+2
-            if size < 3:
+            # the open regime: outerplanar with maximum degree at most p+2. A
+            # maximal outerplanar graph on n >= 3 vertices has degree sum 4n-6 and
+            # at least two vertices of degree 2, so at p=1 (maximum degree 3)
+            # 4n-6 <= 3n-2 leaves only n = 3 and 4
+            if size < 3 or (p == 1 and size > 4):
                 continue
             g = mop_with_degree(size, spec.seed * 1000003 + trial, max_delta=p + 2)
             yield trial, g, g.max_degree + 2 * p - 1
@@ -447,41 +405,25 @@ def hunt_counterexamples(conjecture: str, spec: ExperimentSpec) -> Report:
         raise ValueError("conjecture must be 'general' or 'outerplanar'")
     if any(p < 1 for p in spec.p_values):
         raise ValueError("the conjectured bounds need p >= 1")
-    # trial t runs size t mod len(sizes); outerplanar hunts skip sizes below 3
-    if conjecture == "outerplanar" and max(spec.sizes[: spec.trials]) < 3:
+    # trial t runs size t mod len(sizes); outerplanar hunts skip the sizes that
+    # _hunt_graphs skips, so each p must keep one
+    sizes = spec.sizes[: spec.trials]
+    if conjecture == "outerplanar" and max(sizes) < 3:
         raise ValueError("an outerplanar hunt needs a size >= 3 among its trials")
-    report = Report(meta={"suite": "hunt", "conjecture": conjecture, **_spec_meta(spec)})
+    if conjecture == "outerplanar" and 1 in spec.p_values and not {3, 4} & set(sizes):
+        raise ValueError("an outerplanar hunt at p=1 needs a size of 3 or 4 among its trials")
+    report = Report(meta={"suite": "hunt", "conjecture": conjecture, **asdict(spec)})
     for p in spec.p_values:
         for trial, g, k in _hunt_graphs(conjecture, spec, p):
             inst = f"hunt-{conjecture}-n{g.n:02d}-p{p}-t{trial:04d}"
-            cert = find_bad_assignment(
-                g, p, k, universe=spec.universe, budget=spec.budget, mode="lex"
-            )
-            report.rows.append(
-                {"instance": inst, "family": "hunt", "n": g.n, "p": p, "k": k,
-                 "outcome": cert.kind, "span": "", "nodes": cert.checked}
-            )
-            verdict = {
-                "claim": f"conjecture-{conjecture}-survives", "instance": inst,
-                "expected": "exhausted", "actual": cert.kind,
-                "pass": cert.kind == "exhausted",
-            }
-            if cert.kind == "lower-witness":
-                verdict["certificate"] = json.loads(cert.to_json())
-            report.verdicts.append(verdict)
+            kind, witness = _hunt(report, inst, "hunt", g, p, k, spec.universe, spec.budget)
+            report.check(f"conjecture-{conjecture}-survives", inst, "exhausted", kind,
+                         certificate=witness)
     # positive control: a star one list-slot below its known choosability
     control_n, control_p = 3, 2
-    g = make_star(control_n)
-    cert = find_bad_assignment(g, control_p, control_n + 1, budget=spec.budget, mode="lex")
-    report.rows.append(
-        {"instance": "hunt-control-star", "family": "hunt", "n": g.n, "p": control_p,
-         "k": control_n + 1, "outcome": cert.kind, "span": "", "nodes": cert.checked}
-    )
-    report.verdicts.append(
-        {"claim": "witness-machinery-control", "instance": "hunt-control-star",
-         "expected": "lower-witness", "actual": cert.kind,
-         "pass": cert.kind == "lower-witness"}
-    )
+    kind, _ = _hunt(report, "hunt-control-star", "hunt", make_star(control_n), control_p,
+                    control_n + 1, None, spec.budget)
+    report.check("witness-machinery-control", "hunt-control-star", "lower-witness", kind)
     return report
 
 

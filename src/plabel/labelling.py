@@ -306,9 +306,19 @@ _JSON_KINDS = {dict: "an object", list: "an array", int: "an integer", str: "a s
                bool: "true or false"}
 
 
+def _json_object(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"JSON object repeats the key {json.dumps(key)[:40]}")
+        obj[key] = value
+    return obj
+
+
 def _json_loads(text: str):
+    """json.loads, but a repeated key in any object is an error, not a silent override."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_json_object)
     except RecursionError:
         raise ValueError("JSON input nests too deeply") from None
 

@@ -623,15 +623,20 @@ def recheck_certificate(cert: Certificate) -> tuple[bool, str]:
             return False, "re-certification found a witness"
         if fresh.checked != cert.checked:
             return False, f"checked-count mismatch: {fresh.checked} != {cert.checked}"
-        return True, f"re-certified over {fresh.checked} assignments"
-    if cert.kind == "exhausted":
+        done = f"re-certified over {fresh.checked} assignments"
+    elif cert.kind == "exhausted":
         fresh = find_bad_assignment(
             g, cert.p, cert.k, cert.universe,
             budget=cert.budget or 1, mode=cert.mode, seed=cert.seed or 0,
         )
         if fresh.kind != "exhausted" or fresh.checked != cert.checked:
             return False, "replay disagrees with the exhaustion record"
-        if fresh.complete != cert.complete:
-            return False, f"replay gives complete={fresh.complete}, the record {cert.complete}"
-        return True, f"exhaustion replayed over {fresh.checked} assignments"
-    return False, f"unknown certificate kind {cert.kind!r}"
+        done = f"exhaustion replayed over {fresh.checked} assignments"
+    else:
+        return False, f"unknown certificate kind {cert.kind!r}"
+    # the replay must reproduce the record's own claims, not only its count
+    for name in ("complete", "normalization"):
+        ours, theirs = getattr(fresh, name), getattr(cert, name)
+        if ours != theirs:
+            return False, f"replay gives {name}={ours}, the record {theirs}"
+    return True, done

@@ -123,6 +123,32 @@ def test_recheck_rejects_a_forged_complete_flag(tmp_path, capsys, mode):
     assert capsys.readouterr().out == "FAILED: replay gives complete=False, the record True\n"
 
 
+_CERTIFY_P2 = ("--p", "1", "--k", "3", "--universe", "5", "--exhaustive")
+_NORMALIZATION = "('shift-min-0', 'automorphism-canonical')"
+
+
+@pytest.mark.parametrize("n, args, forged, message", [
+    (2, _CERTIFY_P2, {"complete": False}, "complete=True, the record False"),
+    (2, _CERTIFY_P2, {"normalization": []}, f"normalization={_NORMALIZATION}, the record ()"),
+    (2, _CERTIFY_P2, {"complete": False, "normalization": []},
+     "complete=True, the record False"),
+    (3, ("--p", "2", "--k", "5", "--budget", "3"), {"normalization": ["shift-min-0"]},
+     f"normalization={_NORMALIZATION}, the record ('shift-min-0',)"),
+], ids=["certified-complete", "certified-normalization", "certified-both",
+        "exhausted-normalization"])
+def test_recheck_rejects_a_forged_record(tmp_path, capsys, n, args, forged, message):
+    # the replay must reproduce the record's complete flag and normalization
+    # rules, on an upper certification as on an exhaustion record
+    gfile = tmp_path / "path.txt"
+    gfile.write_text(emit_edge_list(make_path(n)))
+    cert_path = tmp_path / "cert.json"
+    assert main(["choosability", "--graph", str(gfile), *args, "--out", str(cert_path)]) == 0
+    cert_path.write_text(json.dumps({**json.loads(cert_path.read_text()), **forged}))
+    capsys.readouterr()
+    assert main(["recheck", str(cert_path)]) == 1
+    assert capsys.readouterr().out == f"FAILED: replay gives {message}\n"
+
+
 def test_choosability_exhaustive(tmp_path, capsys):
     edge = tmp_path / "p2.txt"
     edge.write_text(emit_edge_list(make_path(2)))
@@ -280,6 +306,23 @@ def test_hunt_command(tmp_path):
     assert code == 0
 
 
+def test_outerplanar_hunt_at_p1_skips_sizes_outside_its_regime(tmp_path, capsys):
+    # the default sizes 3..6 hunt 3 and 4 only; 5 and 6 have no maximal
+    # outerplanar graph of maximum degree 3
+    out = tmp_path / "hunt.json"
+    assert main(["hunt", "--conjecture", "outerplanar", "--p-values", "1",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "5/5 checks passed\n"
+    rows = json.loads(out.read_text())["rows"]
+    assert [(r["instance"], r["k"]) for r in rows] == [
+        ("hunt-control-star", 4),
+        ("hunt-outerplanar-n03-p1-t0000", 3),
+        ("hunt-outerplanar-n03-p1-t0004", 3),
+        ("hunt-outerplanar-n04-p1-t0001", 4),
+        ("hunt-outerplanar-n04-p1-t0005", 4),
+    ]
+
+
 @pytest.mark.parametrize("args, message", [
     (("--conjecture", "general", "--p-values", "0"), "the conjectured bounds need p >= 1"),
     (("--conjecture", "general", "--p-values", "-1"), "the conjectured bounds need p >= 1"),
@@ -288,6 +331,13 @@ def test_hunt_command(tmp_path):
     # trials 0 and 1 run sizes 1 and 2; size 3 would come third
     (("--conjecture", "outerplanar", "--size-min", "1", "--size-max", "3", "--trials", "2"),
      "an outerplanar hunt needs a size >= 3 among its trials"),
+    # at p=1 the open regime (maximum degree 3) holds no maximal outerplanar
+    # graph on more than 4 vertices
+    (("--conjecture", "outerplanar", "--p-values", "1", "--size-min", "5", "--size-max", "6"),
+     "an outerplanar hunt at p=1 needs a size of 3 or 4 among its trials"),
+    (("--conjecture", "outerplanar", "--p-values", "2", "1", "--size-min", "5",
+      "--size-max", "6"),
+     "an outerplanar hunt at p=1 needs a size of 3 or 4 among its trials"),
 ])
 def test_hunt_rejects_specs_without_a_hunt(args, message, capsys):
     assert main(["hunt", *args]) == 2
@@ -329,11 +379,16 @@ _BAD_LISTS = [
         name: list(range(6))
         for name in ("v:0", "v:1", "v:2", "v:3", "e:0-1", "e:0-2", "e:0-3", "e:1-0")
     }}),
+    # the same key twice: the first list must not be silently replaced
+    '{"p": 2, "lists": {"v:0": [0,1,2,3,4,5], "v:1": [0,1,2,3,4,5], "v:2": [0,1,2,3,4,5],'
+    ' "v:3": [0,1,2,3,4,5], "e:0-1": [0], "e:0-1": [0,1,2,3,4,5], "e:0-2": [0,1,2,3,4,5],'
+    ' "e:0-3": [0,1,2,3,4,5]}}',
 ]
 _BAD_CERTIFICATES = [
     "[1]",
     json.dumps({"kind": "lower-witness", "p": 1, "k": 2, "U": 3, "graph": "A_", "checked": 1,
                 "assignment": [1, 2]}),
+    '{"kind": "exhausted", "p": 1, "k": 3, "k": 2, "U": 3, "graph": "A_", "checked": 1}',
 ]
 
 

@@ -23,6 +23,7 @@ from plabel.harness import (
     small_connected_graphs,
 )
 from plabel.labelling import Edge, Vertex, elements_of
+from plabel.solvers import SolveResult
 
 
 def test_spec_validation():
@@ -215,3 +216,116 @@ def test_report_json_is_canonical():
     text = report.to_json_text()
     assert json.loads(text)["ok"] is True
     assert text == run_oracle_suite(p_values=(2,), sizes=(2, 3)).to_json_text()
+
+
+def _forced_failures(monkeypatch):
+    # at p=1 the path labeller fails every trial (a violation on even n, an
+    # assertion on odd n), and the solver disagrees with every cross-check
+    import plabel.harness as harness
+    from plabel.constructive import TheoremViolation
+
+    original = harness.label_path_greedy
+
+    def failing(g, p, lists):
+        if p > 1:
+            return original(g, p, lists)
+        if g.n % 2 == 0:
+            raise TheoremViolation(f"forced on n={g.n}")
+        raise AssertionError(f"forced on n={g.n}")
+
+    monkeypatch.setattr(harness, "label_path_greedy", failing)
+    monkeypatch.setattr(harness, "solve_list", lambda g, p, lists: SolveResult(None, 0, 0.0))
+    return run_property_suite(ExperimentSpec(family="path", sizes=(3, 4), p_values=(1, 2),
+                                             trials=51, seed=3))
+
+
+def _forced_witnesses(monkeypatch, run):
+    # every witness hunt runs at list size 2, where witnesses are found at once
+    import plabel.harness as harness
+
+    original = harness.find_bad_assignment
+    monkeypatch.setattr(harness, "find_bad_assignment",
+                        lambda g, p, k, **kwargs: original(g, p, 2, **kwargs))
+    return run()
+
+
+_PINNED_SPECS = {
+    "path": ((3, 4), (1, 2)),
+    "tree": ((4, 6), (1, 2)),
+    "star": ((3, 4), (2, 3)),
+    "outerplanar": ((6, 7), (1, 2)),
+}
+_GENERAL_HUNT = ExperimentSpec(family="hunt", sizes=(3, 4), p_values=(1, 2), trials=4, seed=1,
+                               budget=10)
+_OUTERPLANAR_HUNT = ExperimentSpec(family="hunt", sizes=(3, 4, 5), p_values=(2,), trials=4,
+                                   seed=2, budget=10)
+_PINNED_RUNS = {
+    "oracle": lambda mp: run_oracle_suite(p_values=(1, 2, 3, 4), sizes=(1, 2, 3, 4, 5)),
+    **{
+        f"props-{family}-{policy}": (
+            lambda mp, family=family, policy=policy: run_property_suite(ExperimentSpec(
+                family=family, sizes=_PINNED_SPECS[family][0], p_values=_PINNED_SPECS[family][1],
+                policy=policy, trials=6, seed=3, budget=8,
+            ))
+        )
+        for family in _PINNED_SPECS
+        for policy in ("random-k", "full-range", "adversarial-search")
+    },
+    "hunt-general": lambda mp: hunt_counterexamples("general", _GENERAL_HUNT),
+    "hunt-outerplanar": lambda mp: hunt_counterexamples("outerplanar", _OUTERPLANAR_HUNT),
+    "props-forced-failures": _forced_failures,
+    "props-forced-witnesses": lambda mp: _forced_witnesses(mp, lambda: run_property_suite(
+        ExperimentSpec(family="tree", sizes=(3, 4), p_values=(1, 2), trials=4, seed=3,
+                       policy="adversarial-search", budget=8))),
+    "hunt-forced-witnesses": lambda mp: _forced_witnesses(
+        mp, lambda: hunt_counterexamples("general", _GENERAL_HUNT)),
+}
+_PINNED_DIGESTS = {
+    "hunt-forced-witnesses":
+        "0af6aa330fea47c1a5ebec07d3630fd9ad889d6c6d29f693c91d590c05ad22b6",
+    "hunt-general":
+        "8426c46f53b6175027cc6413bd15837b5424cecbe8d6c093c5658792d1d9a7a9",
+    "hunt-outerplanar":
+        "1ba8ba13659029d55dc7e48a85e1838666c389a4a16ae1169b9d4f7804cc7591",
+    "oracle":
+        "6074853b1c0ad9462574f60b833ae0ac9b3eddf26ef67ed34aeb3942a02794fe",
+    "props-forced-failures":
+        "38beafda7785528c7c609b84911c60e5ebaac976434572248588f950e7d0049d",
+    "props-forced-witnesses":
+        "484d714dff2014ea3cc1f7a52caf31b188c88e4d163f0cb5373777792294213b",
+    "props-outerplanar-adversarial-search":
+        "a94789ce10439345c0e1900f0a52cdf4eac120a49a5b8217e5b894ad8cb24869",
+    "props-outerplanar-full-range":
+        "f05ab297518bc5a8cf8d073f3fd0ae49e6fcfab0ef06c016bf2037b49c71b055",
+    "props-outerplanar-random-k":
+        "1a5d81b8ef421d434bf3056294f79495df7c0b8a8cc499a576516e4f17c1600a",
+    "props-path-adversarial-search":
+        "5cff102b3a3dd4149b3f679de93b332327d52366ae3a6ff0cb69f5921a2df300",
+    "props-path-full-range":
+        "8936407df99f7e6d4238018919528268fe52c407f7d71f2a1117a6f798eb7190",
+    "props-path-random-k":
+        "3e5c0503b2bf408b6d387ff3fba0761c64e3efd84d4529aad12ebe15842dda88",
+    "props-star-adversarial-search":
+        "724f1e657b2bf2c2a9f26a9d9c6bb68cc14335d2f1f5b17fba087a31187a7baf",
+    "props-star-full-range":
+        "9d52a376fa1649ea61b5887fe6ab4c95363fcef01ac19a07cf1dcf3aba439347",
+    "props-star-random-k":
+        "7bceb78dcbebece700c29e7dbae88040ab46e8c1f8750462e360ca85efb27093",
+    "props-tree-adversarial-search":
+        "8c1560a3348a165e6d51ba05a759460ab59530b081d2504ead6861c1565177c8",
+    "props-tree-full-range":
+        "470fbe04c396127cdcd89c7492bb70a78a5dd82168eebe0f6358925082c496c8",
+    "props-tree-random-k":
+        "8445da5b219825a2e9a63021d7d876d12aba929410823470da600d9fc815f166",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_RUNS))
+def test_reports_are_pinned(name, monkeypatch):
+    # sha256 of the JSON and CSV report texts; any change to how rows,
+    # verdicts or run parameters are built shows here
+    import hashlib
+
+    report = _PINNED_RUNS[name](monkeypatch)
+    text = report.to_json_text() + report.to_csv_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_DIGESTS.get(name), name

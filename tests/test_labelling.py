@@ -267,6 +267,9 @@ def test_lists_json_round_trip():
     '{"p": 1, "labels": {"e:0-1": 0, "e:1-0": 2}, "lists": {"e:0-1": [0], "e:1-0": [0, 1, 2]}}',
     '{"p": 1, "labels": {"v:1": 0, "v:01": 2}, "lists": {"v:1": [0], "v:01": [0, 1, 2]}}',
     "[" * 100000,
+    # the same key twice, at the top and inside the labels and lists
+    '{"p": 1, "p": 1, "labels": {}, "lists": {}}',
+    '{"p": 1, "labels": {"v:0": 0, "v:0": 1}, "lists": {"v:0": [0], "v:0": [0, 1]}}',
 ])
 def test_json_readers_reject_malformed_shapes(text):
     with pytest.raises(ValueError):
