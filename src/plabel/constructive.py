@@ -25,6 +25,8 @@ from itertools import combinations
 
 from .graphs import Graph, make_star
 from .labelling import (
+    Edge,
+    Vertex,
     _edge_positions,
     check_lists,
     element_name,
@@ -546,18 +548,15 @@ class _Rebuilder:
         # pin every colored element and let the complete solver place just
         # the hub edge and its degree-2 endpoint
         self.audit.restricted_solves += 1
-        element_at = dict(zip(in_g, elements_of(working)))
-        pinned = {
-            el: set(self.lists[i]) if c[i] is None else {c[i]} for i, el in element_at.items()
-        }
+        pinned = [self.lists[i] if c[i] is None else {c[i]} for i in in_g]
         restricted = solve_list(working, p, pinned)
         if restricted.labelled:
-            c[u1], c[e] = (restricted.labelling[element_at[i]] for i in (u1, e))
+            c[u1], c[e] = restricted.labelling[Vertex(u1)], restricted.labelling[Edge(x, u1)]
             return
         # last resort: re-solve the whole instance; a failure here would
         # contradict the list-size guarantee
         self.audit.full_resolves += 1
-        full = solve_list(self.g, p, dict(zip(elements_of(self.g), self.lists)))
+        full = solve_list(self.g, p, self.lists)
         if not full.labelled:
             raise TheoremViolation(
                 f"outerplanar with Delta={self.g.max_degree}, p={p}: the full "

@@ -268,23 +268,33 @@ def full_lists(g: Graph, colors) -> dict:
     return {x: pool for x in elements_of(g)}
 
 
-def check_lists(g: Graph, lists: dict, minimum: int | None = None) -> list:
+def check_lists(g: Graph, lists, minimum: int | None = None) -> list:
     """Require a non-empty list for every element, optionally of a minimum size.
 
-    Returns the caller's lists by element position (in elements_of order).
+    The lists are a dict keyed by element, naming every element of g and no
+    other, or a list of color sets by element position (vertex v at v, the
+    j-th sorted edge at n+j). Returns the caller's lists by element position.
     """
-    out = []
-    for x in elements_of(g):
-        colors = lists.get(x)
-        if colors is None and x not in lists:
-            raise ValueError(f"missing list for element {element_name(x)}")
-        if not colors:
-            raise ValueError(f"empty list for element {element_name(x)}")
-        if minimum is not None and len(colors) < minimum:
+    by_position = isinstance(lists, list)
+    if by_position and len(lists) != g.n + g.m:
+        raise ValueError(f"{len(lists)} lists for the {g.n + g.m} elements of the graph")
+    out = list(lists) if by_position else [lists.get(x) for x in elements_of(g)]
+    for i, colors in enumerate(out):
+        if not colors or (minimum is not None and len(colors) < minimum):
+            x = elements_of(g)[i]
+            if colors is None and not by_position and x not in lists:
+                raise ValueError(f"missing list for element {element_name(x)}")
+            if not colors:
+                raise ValueError(f"empty list for element {element_name(x)}")
             raise ValueError(
                 f"list for {element_name(x)} has {len(colors)} colors; need at least {minimum}"
             )
-        out.append(colors)
+    # every element has its list, so any further key names no element of g
+    if not by_position and len(lists) != len(out):
+        known = set(elements_of(g))
+        foreign = next(x for x in lists if x not in known)
+        name = element_name(foreign) if isinstance(foreign, (Vertex, Edge)) else repr(foreign)
+        raise ValueError(f"list for {name}, which is not an element of the graph")
     return out
 
 
@@ -331,9 +341,16 @@ def _json_check(value, kind: type, what: str):
     raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {json.dumps(value)[:40]}")
 
 
+def _json_color(value, name: str) -> int:
+    color = _json_check(value, int, f"color of {name}")
+    if color < 0:
+        raise ValueError(f"color of {name} must be non-negative, got {color}")
+    return color
+
+
 def _json_colors(value, name: str) -> set[int]:
     colors = _json_check(value, list, f"list of {name}")
-    return {_json_check(c, int, f"color of {name}") for c in colors}
+    return {_json_color(c, name) for c in colors}
 
 
 def _json_elements(entries: dict, read) -> dict:
@@ -355,7 +372,7 @@ def labelling_from_json(text: str) -> tuple[int, dict]:
     obj = _json_check(_json_loads(text), dict, "labelling file")
     p = _json_check(obj["p"], int, "p")
     labels = _json_check(obj["labels"], dict, "labels")
-    return p, _json_elements(labels, lambda c, k: _json_check(c, int, f"color of {k}"))
+    return p, _json_elements(labels, _json_color)
 
 
 def lists_to_json(p: int, lists: dict) -> str:

@@ -31,7 +31,6 @@ from .labelling import (
     element_key,
     element_name,
     elements_of,
-    full_lists,
     is_valid,
     lp1_is_valid,
 )
@@ -73,17 +72,19 @@ class SolveResult:
         return self.labelling is not None
 
 
-def _search(domains: list[set[int]], cons, p: int, groups):
+def _search(domains, cons, p: int, groups):
     """Backtracking with forward checking; returns (assignment | None, nodes).
 
-    Variable order: smallest current domain, ties broken by the number of
-    unassigned constraint partners (more first) and then element order; all
-    deterministic. Value order: ascending color. The degree tie-break matters
-    in practice: without it some dense two-dozen-element instances thrash
-    through millions of nodes. The keys live in a heap that is updated as
-    domains and partners change; stale entries are skipped when they reach
-    the top, and the heap is rebuilt once it holds more than 4*elements+64
-    entries, so its memory stays linear.
+    Each domain is kept as an int bitmask over the sorted union of the colors
+    in all domains (bit i is the i-th color), so sparse or huge colors cost no
+    wider ints. Variable order: smallest current domain, ties broken by the
+    number of unassigned constraint partners (more first) and then element
+    order; all deterministic. Value order: ascending color. The degree
+    tie-break matters in practice: without it some dense two-dozen-element
+    instances thrash through millions of nodes. The keys live in a heap that
+    is updated as domains and partners change; stale entries are skipped when
+    they reach the top, and the heap is rebuilt once it holds more than
+    4*elements+64 entries, so its memory stays linear.
 
     Each group is a (center, members) pair whose members must take pairwise
     distinct colors, each at least p away from the center's. A group fails
@@ -95,10 +96,22 @@ def _search(domains: list[set[int]], cons, p: int, groups):
     that hold no solution. The search runs on an explicit stack, so its depth
     is not bounded by Python's recursion limit.
     """
+    values = sorted(set().union(*domains))
+    bit = {c: 1 << i for i, c in enumerate(values)}
+    # near[i]: the colors at distance < p from the i-th color (none at p = 0)
+    near = [(1 << bisect_left(values, c + p)) - (1 << bisect_right(values, c - p)) if p else 0
+            for c in values]
+    masks = []
+    for colors in domains:
+        mask = 0
+        for c in colors:
+            mask |= bit[c]
+        masks.append(mask)
+    domains = masks
     count = len(domains)
     assigned: list[int | None] = [None] * count
     live = [len(partners) for partners in cons]
-    heap = [(len(domains[i]), -live[i], i) for i in range(count)]
+    heap = [(domains[i].bit_count(), -live[i], i) for i in range(count)]
     heapq.heapify(heap)
     heap_cap = 4 * count + 64
     # a one-member group can fail only at the root: once either end is
@@ -111,65 +124,68 @@ def _search(domains: list[set[int]], cons, p: int, groups):
             for j in members:
                 groups_of[j].append(group)
 
-    own = list(domains)  # an assigned element's domain is {its color} until unplaced
     ball = 2 * p - 1  # colors in the open p-ball around a center color
 
     def fails(center: int, members: tuple[int, ...]) -> bool:
-        colors = set().union(*map(domains.__getitem__, members))
-        spare = len(colors) - len(members)
+        colors = 0
+        for j in members:
+            colors |= domains[j]
+        spare = colors.bit_count() - len(members)
         if spare < 0:
             return True
         if spare >= ball:
             return False
-        ordered = sorted(colors)
-        for c in domains[center]:
-            if bisect_left(ordered, c + p) - bisect_right(ordered, c - p) <= spare:
+        rest = domains[center]
+        while rest:
+            low = rest & -rest
+            if (colors & near[low.bit_length() - 1]).bit_count() <= spare:
                 return False
+            rest ^= low
         return True
 
-    def place(i: int, color: int):
-        """Assign i and prune its unassigned partners; returns (ok, removed).
-        Once a partner's domain is empty, the rest are only counted."""
-        assigned[i] = color
-        domains[i] = {color}
+    def place(i: int, low: int):
+        """Assign i the color of bit low and prune its unassigned partners;
+        returns (ok, trail), the trail holding each changed domain's prior
+        mask. Once a partner's domain is empty, the rest are only counted."""
+        at = low.bit_length() - 1
+        assigned[i] = values[at]
+        trail = [(i, domains[i])]
+        domains[i] = low
+        apart, other = ~near[at], ~low
         ok = True
-        removed: list[tuple[int, list[int]]] = []
         for j, sep in cons[i]:
             live[j] -= 1
-            if not ok or assigned[j] is not None or (sep and p == 0):
+            if not ok or assigned[j] is not None:
                 continue
             dom = domains[j]
-            if sep:
-                gone = [c for c in dom if abs(c - color) < p]
-            else:
-                gone = [color] if color in dom else []
-            if gone:
-                dom.difference_update(gone)
-                removed.append((j, gone))
-                ok = bool(dom)
-        return ok, removed
+            kept = dom & (apart if sep else other)
+            if kept != dom:
+                trail.append((j, dom))
+                domains[j] = kept
+                ok = kept != 0
+        return ok, trail
 
-    def unplace(i: int, removed) -> None:
-        for j, gone in removed:
-            domains[j].update(gone)
+    def unplace(i: int, trail) -> None:
+        for j, dom in trail:
+            domains[j] = dom
         for j, _ in cons[i]:
             live[j] += 1
         assigned[i] = None
-        domains[i] = own[i]
 
     def push_keys(i: int) -> None:
         for j, _ in cons[i]:
             if assigned[j] is None:
-                heapq.heappush(heap, (len(domains[j]), -live[j], j))
+                heapq.heappush(heap, (domains[j].bit_count(), -live[j], j))
 
     def select() -> int:
         nonlocal heap
         if len(heap) > heap_cap:
-            heap = [(len(domains[i]), -live[i], i) for i in range(count) if assigned[i] is None]
+            heap = [(domains[i].bit_count(), -live[i], i)
+                    for i in range(count) if assigned[i] is None]
             heapq.heapify(heap)
         while heap:
             size, neg_live, i = heap[0]
-            if assigned[i] is None and size == len(domains[i]) and -neg_live == live[i]:
+            if assigned[i] is None and size == domains[i].bit_count() and -neg_live == live[i]:
                 return i
             heapq.heappop(heap)
         return -1
@@ -181,38 +197,37 @@ def _search(domains: list[set[int]], cons, p: int, groups):
     if first < 0:
         return [], 0
     nodes = 0
-    # frame: [element, its colors in ascending order, next color index, removals
-    # of the color whose subtree is being searched, or None between colors]
-    stack = [[first, sorted(domains[first]), 0, None]]
+    # frame: [element, its untried colors as a mask, trail of the color whose
+    # subtree is being searched, or None before the first color]
+    stack = [[first, domains[first], None]]
     while stack:
         frame = stack[-1]
-        var, colors, _, removed = frame
-        if removed is not None:  # back from the subtree under the last color
-            unplace(var, removed)
+        var, rest, trail = frame
+        if trail is not None:  # back from the subtree under the last color
+            unplace(var, trail)
             push_keys(var)
-            heapq.heappush(heap, (len(domains[var]), -live[var], var))
-            frame[3] = None
-        while frame[2] < len(colors):
-            color = colors[frame[2]]
-            frame[2] += 1
+            heapq.heappush(heap, (domains[var].bit_count(), -live[var], var))
+        while rest:
+            low = rest & -rest
+            rest ^= low
             nodes += 1
-            ok, removed = place(var, color)
+            ok, trail = place(var, low)
             if ok:
                 for center, members in groups_of[var]:
                     if fails(center, members):
                         break
                 else:
                     break
-            unplace(var, removed)
+            unplace(var, trail)
         else:
             stack.pop()
             continue
-        frame[3] = removed
+        frame[1:] = rest, trail
         push_keys(var)
         nxt = select()
         if nxt < 0:
             return list(assigned), nodes
-        stack.append([nxt, sorted(domains[nxt]), 0, None])
+        stack.append([nxt, domains[nxt], None])
     return None, nodes
 
 
@@ -259,7 +274,7 @@ def _neighbourhood_groups(g: Graph, p: int):
     ]
 
 
-def _solve(g: Graph, p: int, domains: list[set[int]]):
+def _solve(g: Graph, p: int, domains):
     """Vertex labelling of g from the domains: adjacent vertices >= p apart,
     vertices at distance two distinct. Returns (assignment | None, nodes, seconds)."""
     start = time.monotonic()
@@ -267,41 +282,41 @@ def _solve(g: Graph, p: int, domains: list[set[int]]):
     return assignment, nodes, time.monotonic() - start
 
 
-def solve_list(g: Graph, p: int, lists: dict) -> SolveResult:
+def solve_list(g: Graph, p: int, lists) -> SolveResult:
     """Complete search for a list-respecting (p,1)-total labelling.
 
-    The search runs on the once-subdivided graph, where the i-th element of g
-    in element order is vertex i. The returned labelling, when present, is
-    re-checked against the direct validity predicate and the lists before
-    being handed back.
+    The lists are a dict keyed by element or a list of color sets by element
+    position (vertex v at v, the j-th sorted edge at n+j), as check_lists
+    takes them. The search runs on the once-subdivided graph, where the i-th
+    element of g in element order is vertex i, and keeps each domain as a
+    bitmask over the colors in all lists. The returned labelling, when
+    present, is re-checked against the direct validity predicate and the
+    lists before being handed back.
     """
     if p < 0:
         raise ValueError("separation p must be non-negative")
     given = check_lists(g, lists)
-    elems = elements_of(g)
-    # the search narrows the domains it assigns; re-check against the caller's lists
-    domains = [set(colors) for colors in given]
-    assignment, nodes, seconds = _solve(incidence_graph(g).derived, p, domains)
+    assignment, nodes, seconds = _solve(incidence_graph(g).derived, p, given)
     if assignment is None:
         return SolveResult(None, nodes, seconds)
     report = is_valid(g, p, assignment, total=True)
     if not report.ok or any(color not in colors for color, colors in zip(assignment, given)):
         raise AssertionError(f"solver produced an invalid labelling: {report.violations}")
-    return SolveResult(dict(zip(elems, assignment)), nodes, seconds)
+    return SolveResult(dict(zip(elements_of(g), assignment)), nodes, seconds)
 
 
 def solve_span(g: Graph, p: int, k: int) -> SolveResult:
     """Search for a (p,1)-total labelling into the color range {0..k}."""
     if k < 0:
         raise ValueError("max color k must be non-negative")
-    return solve_list(g, p, full_lists(g, range(k + 1)))
+    return solve_list(g, p, [range(k + 1)] * (g.n + g.m))
 
 
 def lp1_solve_span(g: Graph, p: int, k: int) -> SolveResult:
     """Vertex labelling into {0..k}: adjacent >= p apart, distance-2 distinct."""
     if p < 0 or k < 0:
         raise ValueError("p and k must be non-negative")
-    assignment, nodes, seconds = _solve(g, p, [set(range(k + 1)) for _ in range(g.n)])
+    assignment, nodes, seconds = _solve(g, p, [range(k + 1)] * g.n)
     if assignment is None:
         return SolveResult(None, nodes, seconds)
     labels = dict(enumerate(assignment))

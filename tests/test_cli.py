@@ -383,12 +383,25 @@ _BAD_LISTS = [
     '{"p": 2, "lists": {"v:0": [0,1,2,3,4,5], "v:1": [0,1,2,3,4,5], "v:2": [0,1,2,3,4,5],'
     ' "v:3": [0,1,2,3,4,5], "e:0-1": [0], "e:0-1": [0,1,2,3,4,5], "e:0-2": [0,1,2,3,4,5],'
     ' "e:0-3": [0,1,2,3,4,5]}}',
+    # a list for every element of star3, and one for a vertex it does not have
+    json.dumps({"p": 2, "lists": {
+        **{name: list(range(6))
+           for name in ("v:0", "v:1", "v:2", "v:3", "e:0-1", "e:0-2", "e:0-3")},
+        "v:7": [5],
+    }}),
+    # a negative color
+    json.dumps({"p": 2, "lists": {
+        name: [-5, *range(6)] if name == "v:0" else list(range(6))
+        for name in ("v:0", "v:1", "v:2", "v:3", "e:0-1", "e:0-2", "e:0-3")
+    }}),
 ]
 _BAD_CERTIFICATES = [
     "[1]",
     json.dumps({"kind": "lower-witness", "p": 1, "k": 2, "U": 3, "graph": "A_", "checked": 1,
                 "assignment": [1, 2]}),
     '{"kind": "exhausted", "p": 1, "k": 3, "k": 2, "U": 3, "graph": "A_", "checked": 1}',
+    json.dumps({"kind": "lower-witness", "p": 1, "k": 2, "U": 3, "graph": "A_", "checked": 1,
+                "assignment": {"v:0": [-1, 0], "v:1": [0, 1], "e:0-1": [0, 1]}}),
 ]
 
 

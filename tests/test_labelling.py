@@ -270,6 +270,8 @@ def test_lists_json_round_trip():
     # the same key twice, at the top and inside the labels and lists
     '{"p": 1, "p": 1, "labels": {}, "lists": {}}',
     '{"p": 1, "labels": {"v:0": 0, "v:0": 1}, "lists": {"v:0": [0], "v:0": [0, 1]}}',
+    # colors are non-negative integers
+    '{"p": 1, "labels": {"v:0": -5}, "lists": {"v:0": [-5, 1000000000]}}',
 ])
 def test_json_readers_reject_malformed_shapes(text):
     with pytest.raises(ValueError):
@@ -286,10 +288,13 @@ def test_element_key_orders_mixed_sets():
 def test_check_lists_returns_the_callers_lists_by_position():
     g = make_star(2)  # elements v:0 v:1 v:2 e:0-1 e:0-2
     lists = {x: {i, i + 1, i + 2} for i, x in enumerate(elements_of(g))}
-    lists[Vertex(9)] = set()  # a key that is no element is ignored
     got = check_lists(g, lists, minimum=3)
     assert got == [lists[x] for x in elements_of(g)]
     assert all(a is lists[x] for a, x in zip(got, elements_of(g)))
+    assert check_lists(g, got, minimum=3) == got  # a list by position reads the same
+    lists[Vertex(9)] = {0}
+    with pytest.raises(ValueError, match="list for v:9, which is not an element"):
+        check_lists(g, lists)
 
 
 @pytest.mark.parametrize("bad, message", [

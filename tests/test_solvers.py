@@ -277,6 +277,13 @@ _MOP10_DELTA6 = Graph(10, [  # mop_with_degree(10, 0, min_delta=5)
     (3, 8), (4, 5), (4, 8), (4, 9), (5, 6), (5, 7), (6, 7), (8, 9),
 ])
 _C5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
+
+
+def _drawn(g, colors, size, seed):
+    rng = random.Random(seed)
+    return {x: set(rng.sample(colors, size)) for x in elements_of(g)}
+
+
 _PINNED = [
     (solve_span, make_star(3), 2, 4, 7, "0411234"),
     (solve_span, make_path(50), 2, 4, 99,
@@ -287,6 +294,13 @@ _PINNED = [
     (solve_span, _MOP10_DELTA6, 3, 8, 29, "120478135854887356011244070"),
     (lp1_solve_span, make_path(6), 2, 4, 6, "130240"),
     (solve_list, _C5, 1, full_lists(_C5, (0, 1, 3)), 45, None),
+    # far-apart colors, every color at least 100, and p = 0
+    (solve_list, _C5, 2, full_lists(_C5, (0, 3, 10**9)), 45, None),
+    (solve_list, _C5, 3, full_lists(_C5, (0, 3, 10**9, 10**9 + 2)), 11,
+     "0303100000000010000000003100000000210000000000"),
+    (solve_list, make_star(3), 3, _drawn(make_star(3), range(100, 107), 5, 0), 23,
+     "106103105100100102103"),
+    (solve_list, _C5, 0, _drawn(_C5, range(4), 2, 3), 14, "2120121310"),
 ]
 
 
@@ -373,6 +387,39 @@ def test_search_order_matches_rescanning_reference(g, p, k):
     cons = _lp1_constraints(derived)
     mine = _search([set(range(k + 1)) for _ in range(derived.n)], cons, p, [])
     assert mine == _rescanning_search([set(range(k + 1)) for _ in range(derived.n)], cons, p)
+
+
+def test_search_order_matches_rescanning_reference_on_random_lists():
+    # shifted, sparse and huge colors and p = 0..3: the bitmask domains must
+    # give the reference's answer and node count on every instance
+    rng = random.Random(10)
+    outcomes = {"labelled": 0, "refuted": 0}
+    for _ in range(200):
+        g = _random_instance(rng)
+        p = rng.randrange(4)
+        width = max(1, g.max_degree + p + rng.randrange(-1, 3))
+        low = rng.choice([0, 3, 100, 10**9])
+        pool = sorted(rng.sample(range(low, low + 3 * width), width))
+        lists = [set(rng.sample(pool, rng.randrange(1, width + 1))) for _ in range(g.n + g.m)]
+        derived = incidence_graph(g).derived
+        cons = _lp1_constraints(derived)
+        mine = _search([set(colors) for colors in lists], cons, p, [])
+        assert mine == _rescanning_search([set(colors) for colors in lists], cons, p), (g, p, lists)
+        outcomes["refuted" if mine[0] is None else "labelled"] += 1
+    assert min(outcomes.values()) >= 40, outcomes
+
+
+def test_solve_list_takes_lists_by_position():
+    g = make_star(2)  # elements v:0 v:1 v:2 e:0-1 e:0-2
+    lists = [{0}, {3, 4}, {4}, {2, 3}, {1, 2}]
+    by_element = solve_list(g, 1, dict(zip(elements_of(g), lists)))
+    by_position = solve_list(g, 1, lists)
+    assert by_position.labelling == by_element.labelling
+    assert by_position.nodes == by_element.nodes
+    with pytest.raises(ValueError, match="4 lists for the 5 elements"):
+        solve_list(g, 1, lists[:4])
+    with pytest.raises(ValueError, match="empty list for element v:2"):
+        solve_list(g, 1, [{0}, {3, 4}, set(), {2, 3}, {1, 2}])
 
 
 @pytest.mark.parametrize("n", [600, 2000])
