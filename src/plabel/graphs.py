@@ -194,20 +194,28 @@ def make_random_maximal_outerplanar(n: int, seed: int, with_cycle: bool = False)
     """
     if n < 3:
         raise ValueError("a maximal outerplanar graph needs at least 3 vertices")
-    rng = random.Random(f"mop:{n}:{seed}")
-    cycle = [0, 1, 2]
-    edges = [(0, 1), (1, 2), (0, 2)]
+    g, cycle = _grow_by_ears(n, random.Random(f"mop:{n}:{seed}"))
+    return (g, cycle) if with_cycle else g
+
+
+def _grow_by_ears(n: int, rng: random.Random, cap: int | None = None):
+    """A triangle grown to n vertices, each new vertex an ear on a random edge
+    of the outer cycle whose ends both have degree below cap. Returns the
+    graph and its outer cycle, or None once no such edge is left."""
+    cycle, edges, degree = [0, 1, 2], [(0, 1), (1, 2), (0, 2)], [2, 2, 2] + [0] * (n - 3)
     for v in range(3, n):
-        pos = rng.randrange(len(cycle))
-        a = cycle[pos]
-        b = cycle[(pos + 1) % len(cycle)]
-        edges.append((a, v))
-        edges.append((b, v))
+        # an ear at pos sits on the outer edge cycle[pos], cycle[pos + 1]
+        ears = range(len(cycle)) if cap is None else [
+            pos for pos, a in enumerate(cycle)
+            if degree[a] < cap and degree[cycle[(pos + 1) % len(cycle)]] < cap]
+        if not ears:
+            return None
+        pos = rng.choice(ears)
+        a, b = cycle[pos], cycle[(pos + 1) % len(cycle)]
+        edges += [(a, v), (b, v)]
+        degree[a], degree[b], degree[v] = degree[a] + 1, degree[b] + 1, 2
         cycle.insert(pos + 1, v)
-    g = Graph(n, edges)
-    if with_cycle:
-        return g, cycle
-    return g
+    return Graph(n, edges), cycle
 
 
 # --- edge-list format -------------------------------------------------------

@@ -27,6 +27,7 @@ from .constructive import (
 )
 from .graphs import (
     Graph,
+    _grow_by_ears,
     emit_graph6,
     make_path,
     make_random_maximal_outerplanar,
@@ -164,10 +165,21 @@ def random_k_assignment(g: Graph, k: int, universe: int, rng: random.Random) -> 
 
 
 def mop_with_degree(n: int, seed: int, min_delta: int = 0, max_delta: int | None = None) -> Graph:
-    """Deterministic retry over sub-seeds until the degree constraint holds."""
-    for attempt in range(10000):
-        g = make_random_maximal_outerplanar(n, seed * 10007 + attempt)
-        if g.max_degree >= min_delta and (max_delta is None or g.max_degree <= max_delta):
+    """Maximal outerplanar graph on n vertices with maximum degree in
+    [min_delta, max_delta]. Without max_delta, a deterministic retry over
+    sub-seeds of make_random_maximal_outerplanar. With it, seeded ears on
+    outer edges below the cap, or, where those run out, the zig-zag strip,
+    whose maximum degree (at most 4) is the least possible."""
+    if max_delta is None:
+        for attempt in range(10000):
+            g = make_random_maximal_outerplanar(n, seed * 10007 + attempt)
+            if g.max_degree >= min_delta:
+                return g
+    elif n >= 3:
+        grown = _grow_by_ears(n, random.Random(f"mop-cap:{n}:{seed}"), max_delta)
+        strip = [(i, j) for i in range(n) for j in (i + 1, i + 2) if j < n]
+        g = grown[0] if grown else Graph(n, strip)
+        if min_delta <= g.max_degree <= max_delta:
             return g
     raise ValueError(
         f"no maximal outerplanar graph on {n} vertices with degree in "

@@ -3,11 +3,11 @@
 These are the ground-truth oracles the constructive labellers are checked
 against. One search, with forward checking, most-constrained-element
 ordering and a pigeonhole check on every neighbourhood, labels vertices with
-distance-two constraints; a (p,1)-total instance is solved as such an
-instance on the once-subdivided graph. The search keeps its own stack, so
-long inputs are not limited by Python's recursion depth. On top of it sit
-the minimum span by an upward scan and exhaustive / budgeted searches over
-normalized list assignments.
+distance-two constraints; a (p,1)-total instance is such an instance on
+the once-subdivided graph, whose constraints are read off the graph itself.
+The search keeps its own stack, so long inputs are not limited by Python's
+recursion depth. On top of it sit the minimum span by an upward scan and
+exhaustive / budgeted searches over normalized list assignments.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import Graph, emit_graph6, incidence_graph, parse_graph6
+from .graphs import Graph, emit_graph6, parse_graph6
 from .labelling import (
     _edge_positions,
     _json_check,
@@ -53,12 +53,14 @@ __all__ = [
 # hard ceiling on raw enumeration work per witness search, independent of the
 # solver-call budget, so lexicographic filters cannot spin unboundedly
 _RAW_SCAN_CAP = 5_000_000
+# exhaustive certification sweeps graphs of at most this many elements
+_CERTIFY_MAX_ELEMENTS = 6
 # brute-force automorphism search runs on graphs up to this many vertices
 _AUTOMORPHISM_MAX_VERTICES = 8
 
 
 class InstanceTooLarge(ValueError):
-    """Exhaustive certification refused; the message carries a size estimate."""
+    """Exhaustive certification refused; the message names the limit exceeded."""
 
 
 @dataclass
@@ -274,11 +276,42 @@ def _neighbourhood_groups(g: Graph, p: int):
     ]
 
 
-def _solve(g: Graph, p: int, domains):
-    """Vertex labelling of g from the domains: adjacent vertices >= p apart,
-    vertices at distance two distinct. Returns (assignment | None, nodes, seconds)."""
+_last_model: tuple = (None, None)  # the last graph given to _total_model, and its model
+
+
+def _total_model(g: Graph):
+    """_lp1_constraints and _neighbourhood_groups of the once-subdivided graph,
+    as tuples, read off g: the edges at a vertex and the ends of an edge are
+    at distance two, a vertex and its edges adjacent. No two neighbours are
+    adjacent, so no pair repeats and no group depends on p. The model is kept
+    for the next call on an equal graph."""
+    global _last_model
+    last, model = _last_model
+    if last is g or last == g:
+        return model
+    n, edges = g.n, g.sorted_edges()
+    at: list[list[int]] = [[] for _ in range(n)]
+    for j, (u, v) in enumerate(edges, n):
+        at[u].append(j)
+        at[v].append(j)
+    pairs = [(a, b, False) for ends in at for a, b in itertools.combinations(ends, 2)]
+    pairs += [(u, v, False) for u, v in edges]
+    pairs += [(w, j, True) for w, ends in enumerate(at) for j in ends]
+    cons: list[list[tuple[int, bool]]] = [[] for _ in range(n + len(edges))]
+    for a, b, sep in pairs:
+        cons[a].append((b, sep))
+        cons[b].append((a, sep))
+    groups = [(w, tuple(ends)) for w, ends in enumerate(at) if ends] + list(enumerate(edges, n))
+    model = tuple(map(tuple, cons)), tuple(groups)
+    _last_model = g, model
+    return model
+
+
+def _solve(cons, groups, p: int, domains):
+    """Vertex labelling from the domains under the partners cons and the
+    groups. Returns (assignment | None, nodes, seconds)."""
     start = time.monotonic()
-    assignment, nodes = _search(domains, _lp1_constraints(g), p, _neighbourhood_groups(g, p))
+    assignment, nodes = _search(domains, cons, p, groups)
     return assignment, nodes, time.monotonic() - start
 
 
@@ -287,16 +320,16 @@ def solve_list(g: Graph, p: int, lists) -> SolveResult:
 
     The lists are a dict keyed by element or a list of color sets by element
     position (vertex v at v, the j-th sorted edge at n+j), as check_lists
-    takes them. The search runs on the once-subdivided graph, where the i-th
-    element of g in element order is vertex i, and keeps each domain as a
-    bitmask over the colors in all lists. The returned labelling, when
-    present, is re-checked against the direct validity predicate and the
-    lists before being handed back.
+    takes them. The search runs on the once-subdivided graph's constraints,
+    read off g (its i-th element in element order is vertex i), and keeps
+    each domain as a bitmask over the colors in all lists. The returned
+    labelling, when present, is re-checked against the direct validity
+    predicate and the lists before being handed back.
     """
     if p < 0:
         raise ValueError("separation p must be non-negative")
     given = check_lists(g, lists)
-    assignment, nodes, seconds = _solve(incidence_graph(g).derived, p, given)
+    assignment, nodes, seconds = _solve(*_total_model(g), p, given)
     if assignment is None:
         return SolveResult(None, nodes, seconds)
     report = is_valid(g, p, assignment, total=True)
@@ -316,7 +349,8 @@ def lp1_solve_span(g: Graph, p: int, k: int) -> SolveResult:
     """Vertex labelling into {0..k}: adjacent >= p apart, distance-2 distinct."""
     if p < 0 or k < 0:
         raise ValueError("p and k must be non-negative")
-    assignment, nodes, seconds = _solve(g, p, [range(k + 1)] * g.n)
+    assignment, nodes, seconds = _solve(
+        _lp1_constraints(g), _neighbourhood_groups(g, p), p, [range(k + 1)] * g.n)
     if assignment is None:
         return SolveResult(None, nodes, seconds)
     labels = dict(enumerate(assignment))
@@ -594,12 +628,14 @@ def certify_choosable(g: Graph, p: int, k: int, universe: int | None = None) -> 
     if universe < k - 1:
         raise ValueError("universe too small to hold a k-list")
     n_elems = g.n + g.m
+    if n_elems > _CERTIFY_MAX_ELEMENTS:
+        raise InstanceTooLarge(f"refusing exhaustive certification: {n_elems} elements, "
+                               f"more than the {_CERTIFY_MAX_ELEMENTS} it sweeps")
     per_element = comb(universe + 1, k)
-    estimate = per_element**n_elems
-    if n_elems > 6 or estimate > _RAW_SCAN_CAP:
+    if per_element**n_elems > _RAW_SCAN_CAP:
         raise InstanceTooLarge(
-            f"refusing exhaustive certification: {n_elems} elements with "
-            f"{per_element} candidate lists each is about {estimate:.3g} raw assignments"
+            f"refusing exhaustive certification: {n_elems} elements with {per_element} "
+            f"candidate lists each, more than the {_RAW_SCAN_CAP} raw assignments it sweeps"
         )
     g6 = emit_graph6(g)
     checked = 0

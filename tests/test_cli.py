@@ -161,6 +161,24 @@ def test_choosability_exhaustive(tmp_path, capsys):
     assert Certificate.from_json(cert_path.read_text()).kind == "upper-certified"
 
 
+def test_choosability_exhaustive_refusal_names_its_cause(p4_file, tmp_path, capsys):
+    # P4 has 7 elements; 6 lists per element would be only 6**7 raw assignments
+    assert main(["choosability", "--graph", p4_file, "--p", "1", "--k", "2",
+                 "--universe", "3", "--exhaustive"]) == 2
+    assert capsys.readouterr().err == (
+        "error: refusing exhaustive certification: 7 elements, more than the 6 it sweeps\n")
+    edge = tmp_path / "p2.txt"
+    edge.write_text(emit_edge_list(make_path(2)))
+    assert main(["choosability", "--graph", str(edge), "--p", "1", "--k", "5",
+                 "--universe", "20", "--exhaustive"]) == 2
+    assert capsys.readouterr().err == (
+        "error: refusing exhaustive certification: 3 elements with 20349 candidate lists "
+        "each, more than the 5000000 raw assignments it sweeps\n")
+    # far too many assignments to write as a float
+    assert main(["choosability", "--graph", str(edge), "--p", "1", "--k", "10",
+                 "--universe", str(10**21), "--exhaustive"]) == 2
+
+
 def test_construct_star_with_audit(star3_file, tmp_path):
     out = tmp_path / "lab.json"
     code = main([
@@ -321,6 +339,14 @@ def test_outerplanar_hunt_at_p1_skips_sizes_outside_its_regime(tmp_path, capsys)
         ("hunt-outerplanar-n04-p1-t0001", 4),
         ("hunt-outerplanar-n04-p1-t0005", 4),
     ]
+
+
+def test_outerplanar_hunt_reaches_sizes_where_few_graphs_meet_the_degree_cap(tmp_path, capsys):
+    # at p=2 the cap is maximum degree 4, which few random maximal
+    # outerplanar graphs on 12 or more vertices meet
+    assert main(["hunt", "--conjecture", "outerplanar", "--size-max", "14", "--trials", "12",
+                 "--out", str(tmp_path / "hunt.json")]) == 0
+    assert capsys.readouterr().out == "13/13 checks passed\n"
 
 
 @pytest.mark.parametrize("args, message", [

@@ -131,6 +131,23 @@ def test_hunt_outerplanar_low_degree_regime():
         hunt_counterexamples("someday", spec)
 
 
+@pytest.mark.parametrize("cap", [2, 3, 4, 5])
+def test_mop_with_max_degree_is_built_for_every_size(cap):
+    nx = pytest.importorskip("networkx")
+    # a maximal outerplanar graph on n >= 5 vertices has maximum degree at least 4
+    for n in range(3, 25):
+        for seed in range(6):
+            if cap < 4 and n > cap + 1:
+                with pytest.raises(ValueError, match=f"on {n} vertices with degree in"):
+                    mop_with_degree(n, seed, max_delta=cap)
+                continue
+            g = mop_with_degree(n, seed, max_delta=cap)
+            assert g.m == 2 * n - 3 and g.max_degree <= cap, (n, seed)
+            # outerplanar: still planar with one more vertex joined to all
+            apex = nx.Graph(list(g.edges) + [(n, v) for v in range(n)])
+            assert nx.check_planarity(apex)[0], (n, seed)
+
+
 def test_required_list_size():
     assert required_list_size("path", make_path(4), 2) == 5
     assert required_list_size("tree", make_path(2), 2) == 5

@@ -13,15 +13,19 @@ from plabel.graphs import (
     make_fan,
     make_path,
     make_random_maximal_outerplanar,
+    make_random_tree,
     make_star,
 )
+from plabel.harness import small_connected_graphs
 from plabel.labelling import Edge, Vertex, elements_of, full_lists, respects_lists
 from plabel.solvers import (
     Certificate,
     InstanceTooLarge,
     _lex_product,
     _lp1_constraints,
+    _neighbourhood_groups,
     _search,
+    _total_model,
     certify_choosable,
     element_automorphisms,
     find_bad_assignment,
@@ -420,6 +424,38 @@ def test_solve_list_takes_lists_by_position():
         solve_list(g, 1, lists[:4])
     with pytest.raises(ValueError, match="empty list for element v:2"):
         solve_list(g, 1, [{0}, {3, 4}, set(), {2, 3}, {1, 2}])
+
+
+def test_total_model_matches_the_subdivided_graph():
+    graphs = small_connected_graphs(5) + [Graph(0), Graph(1), Graph(4)]
+    graphs += [make_random_tree(n, seed) for n in (2, 7, 15) for seed in range(3)]
+    graphs += [make_random_maximal_outerplanar(n, seed) for n in (3, 6, 12) for seed in range(3)]
+    for g in graphs:
+        derived = incidence_graph(g).derived
+        cons, groups = _total_model(g)
+        assert [list(partners) for partners in cons] == _lp1_constraints(derived), g
+        for p in range(4):
+            assert list(groups) == _neighbourhood_groups(derived, p), (g, p)
+
+
+def test_reused_model_gives_fresh_answers(monkeypatch):
+    import plabel.solvers as solvers
+
+    star, path, mop = make_star(3), make_path(4), _MOP10_DELTA6
+    # repeats of one object and of an equal but distinct graph, switches
+    # between graphs, and between two graphs of one vertex count
+    calls = [(star, 2, 4), (star, 2, 3), (mop, 2, 6), (star, 2, 4), (mop, 3, 8),
+             (Graph(mop.n, mop.edges), 0, 5), (mop, 2, 7), (Graph(4, star.edges), 2, 3),
+             (path, 2, 4), (star, 2, 4)]
+    fresh = []
+    for g, p, k in calls:
+        monkeypatch.setattr(solvers, "_last_model", (None, None))
+        result = solve_span(g, p, k)
+        fresh.append((result.labelling, result.nodes))
+    monkeypatch.setattr(solvers, "_last_model", (None, None))
+    reused = [(result.labelling, result.nodes)
+              for result in (solve_span(g, p, k) for g, p, k in calls)]
+    assert reused == fresh
 
 
 @pytest.mark.parametrize("n", [600, 2000])
