@@ -28,6 +28,7 @@ from .labelling import (
     Edge,
     Vertex,
     _edge_positions,
+    _elements,
     check_lists,
     element_name,
     elements_of,
@@ -64,7 +65,7 @@ def _checked_output(g: Graph, p: int, c: list, lists: list | None = None) -> dic
         raise AssertionError(f"constructed labelling is invalid: {report.violations[:4]}")
     if lists is not None and any(color not in lst for color, lst in zip(c, lists)):
         raise AssertionError("constructed labelling leaves its lists")
-    return dict(zip(elements_of(g), c))
+    return dict(zip(_elements(g), c))
 
 
 def _least(colors) -> int:
@@ -309,39 +310,35 @@ class C3:
 Configuration = Leaf | C1 | C2 | C3
 
 
-def _scan_configuration(adj: dict) -> Configuration | None:
+def _scan_configuration(adj: dict, buckets: dict) -> Configuration | None:
     """Deterministic scan for a reducible configuration.
 
     Priority: a degree-1 vertex; then an edge joining two degree-2 vertices;
     then a triangle through a degree-2 vertex with a degree-3 corner; then a
     degree-4 hub carrying two vertex-disjoint triangles through degree-2
-    vertices. Vertices of degree 0 never match.
+    vertices. buckets[d] holds the vertices of degree d in adj, for d in 1,
+    2 and 4, the only degrees a configuration starts from; each is walked in
+    ascending order.
     """
-    deg = {v: len(nbs) for v, nbs in adj.items()}
-    for v in sorted(adj):
-        if deg[v] == 1:
-            return Leaf(v, next(iter(adj[v])))
-    for u in sorted(adj):
-        if deg[u] != 2:
-            continue
+    if buckets[1]:
+        v = min(buckets[1])
+        return Leaf(v, next(iter(adj[v])))
+    twos = sorted(buckets[2])
+    for u in twos:
         for v in sorted(adj[u]):
-            if v > u and deg[v] == 2:
+            if v > u and v in buckets[2]:
                 return C1(u, v)
-    for u in sorted(adj):
-        if deg[u] != 2:
-            continue
+    for u in twos:
         a, b = sorted(adj[u])
         if b in adj[a]:
-            if deg[a] == 3:
+            if len(adj[a]) == 3:
                 return C2(u, a, b)
-            if deg[b] == 3:
+            if len(adj[b]) == 3:
                 return C2(u, b, a)
-    for x in sorted(adj):
-        if deg[x] != 4:
-            continue
+    for x in sorted(buckets[4]):
         pairs = []
         for u in sorted(adj[x]):
-            if deg[u] != 2:
+            if u not in buckets[2]:
                 continue
             other = next(w for w in adj[u] if w != x)
             if other in adj[x]:
@@ -350,6 +347,25 @@ def _scan_configuration(adj: dict) -> Configuration | None:
             if {u1, v1}.isdisjoint({u2, v2}):
                 return C3(x, u1, v1, u2, v2)
     return None
+
+
+def _reductions(adj: dict):
+    """Peel configurations off adj, in place, while there is one, and yield
+    each before it goes. The first two fields of each name the edge it
+    removes, and a leaf goes with its edge."""
+    buckets = {d: {v for v, nbs in adj.items() if len(nbs) == d} for d in (1, 2, 4)}
+    while (step := _scan_configuration(adj, buckets)) is not None:
+        yield step
+        a, b, *_ = vars(step).values()
+        for w, other in ((a, b), (b, a)):
+            d = len(adj[w])
+            adj[w].remove(other)
+            if d in buckets:
+                buckets[d].remove(w)
+            if d - 1 in buckets:
+                buckets[d - 1].add(w)
+        if type(step) is Leaf:
+            del adj[a]
 
 
 def find_configuration(g: Graph) -> Configuration | None:
@@ -361,7 +377,7 @@ def find_configuration(g: Graph) -> Configuration | None:
     """
     if g.n == 0:
         raise ValueError("empty graph")
-    return _scan_configuration({v: set(g.adj[v]) for v in range(g.n)})
+    return next(_reductions({v: set(g.adj[v]) for v in range(g.n)}), None)
 
 
 @dataclass
@@ -594,16 +610,8 @@ def label_outerplanar_list(
 
     adj: dict[int, set[int]] = {v: set(g.adj[v]) for v in range(g.n)}
 
-    # reduction phase: peel configurations while there is one; the first two
-    # fields of each name the edge it removes, and a leaf goes with its edge
-    steps: list[Configuration] = []
-    while (step := _scan_configuration(adj)) is not None:
-        steps.append(step)
-        a, b, *_ = vars(step).values()
-        adj[a].discard(b)
-        adj[b].discard(a)
-        if type(step) is Leaf:
-            del adj[a]
+    # reduction phase: peel configurations while there is one
+    steps = list(_reductions(adj))
     if any(adj.values()):
         raise TheoremViolation(
             "no reducible configuration in a working graph of minimum degree >= 2; "

@@ -34,7 +34,7 @@ from .graphs import (
     make_random_tree,
     make_star,
 )
-from .labelling import Edge, Vertex, elements_of, full_lists, lists_to_json
+from .labelling import Edge, Vertex, _elements, full_lists, lists_to_json
 from .solvers import find_bad_assignment, lp1_min_span, min_colors, solve_list
 
 __all__ = [
@@ -146,21 +146,20 @@ def random_k_assignment(g: Graph, k: int, universe: int, rng: random.Random) -> 
         raise ValueError("universe too small for a k-list")
     n = universe + 1
     if k < 0 or n > 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0):
-        return {x: set(rng.sample(range(n), k)) for x in elements_of(g)}
+        return {x: set(rng.sample(range(n), k)) for x in _elements(g)}
     getrandbits = rng.getrandbits
     draws = [(m, m.bit_length()) for m in range(n, n - k, -1)]
     colors = list(range(n))
     lists = {}
-    for x in elements_of(g):
+    # each pick is swapped to the end of the pool, so the last k are the picks
+    for x in _elements(g):
         pool = colors[:]
-        chosen = set()
         for m, bits in draws:
             j = getrandbits(bits)
             while j >= m:
                 j = getrandbits(bits)
-            chosen.add(pool[j])
-            pool[j] = pool[m - 1]
-        lists[x] = chosen
+            pool[j], pool[m - 1] = pool[m - 1], pool[j]
+        lists[x] = set(pool[n - k:])
     return lists
 
 

@@ -70,11 +70,24 @@ def element_key(x: Element) -> tuple:
     return (1, x.u, x.v)
 
 
+_last_elements: tuple = (None, ())  # the last graph given to _elements, and its elements
+
+
+def _elements(g: Graph) -> tuple[Element, ...]:
+    """Every element of g in the element total order, kept for the next call
+    on an equal graph."""
+    global _last_elements
+    last, elements = _last_elements
+    if last is g or last == g:
+        return elements
+    elements = (*map(Vertex, range(g.n)), *(Edge(u, v) for u, v in g.sorted_edges()))
+    _last_elements = g, elements
+    return elements
+
+
 def elements_of(g: Graph) -> list[Element]:
     """Every element of g in the element total order."""
-    out: list[Element] = [Vertex(v) for v in range(g.n)]
-    out += [Edge(u, v) for u, v in g.sorted_edges()]
-    return out
+    return list(_elements(g))
 
 
 def element_name(x: Element) -> str:
@@ -278,10 +291,10 @@ def check_lists(g: Graph, lists, minimum: int | None = None) -> list:
     by_position = isinstance(lists, list)
     if by_position and len(lists) != g.n + g.m:
         raise ValueError(f"{len(lists)} lists for the {g.n + g.m} elements of the graph")
-    out = list(lists) if by_position else [lists.get(x) for x in elements_of(g)]
+    out = list(lists) if by_position else [lists.get(x) for x in _elements(g)]
     for i, colors in enumerate(out):
         if not colors or (minimum is not None and len(colors) < minimum):
-            x = elements_of(g)[i]
+            x = _elements(g)[i]
             if colors is None and not by_position and x not in lists:
                 raise ValueError(f"missing list for element {element_name(x)}")
             if not colors:
@@ -291,7 +304,7 @@ def check_lists(g: Graph, lists, minimum: int | None = None) -> list:
             )
     # every element has its list, so any further key names no element of g
     if not by_position and len(lists) != len(out):
-        known = set(elements_of(g))
+        known = set(_elements(g))
         foreign = next(x for x in lists if x not in known)
         name = element_name(foreign) if isinstance(foreign, (Vertex, Edge)) else repr(foreign)
         raise ValueError(f"list for {name}, which is not an element of the graph")

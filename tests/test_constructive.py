@@ -2,9 +2,11 @@ import hashlib
 import json
 import random
 import re
+from itertools import combinations
 
 import pytest
 
+from plabel import constructive
 from plabel.constructive import (
     C1,
     C2,
@@ -243,6 +245,110 @@ def test_configuration_always_found_on_outerplanar():
     for trial in range(10000):
         g = make_random_maximal_outerplanar(3 + trial % 12, trial)
         assert find_configuration(g) is not None
+
+
+# --- the configuration scan against a whole-graph rescan ------------------------------
+
+
+def _rescan_configuration(adj: dict):
+    """Reference scan: recompute every degree and walk every vertex, in the
+    same priority order as the labeller's bucketed scan."""
+    deg = {v: len(nbs) for v, nbs in adj.items()}
+    for v in sorted(adj):
+        if deg[v] == 1:
+            return Leaf(v, next(iter(adj[v])))
+    for u in sorted(adj):
+        if deg[u] != 2:
+            continue
+        for v in sorted(adj[u]):
+            if v > u and deg[v] == 2:
+                return C1(u, v)
+    for u in sorted(adj):
+        if deg[u] != 2:
+            continue
+        a, b = sorted(adj[u])
+        if b in adj[a]:
+            if deg[a] == 3:
+                return C2(u, a, b)
+            if deg[b] == 3:
+                return C2(u, b, a)
+    for x in sorted(adj):
+        if deg[x] != 4:
+            continue
+        pairs = []
+        for u in sorted(adj[x]):
+            if deg[u] != 2:
+                continue
+            other = next(w for w in adj[u] if w != x)
+            if other in adj[x]:
+                pairs.append((u, other))
+        for (u1, v1), (u2, v2) in combinations(pairs, 2):
+            if {u1, v1}.isdisjoint({u2, v2}):
+                return C3(x, u1, v1, u2, v2)
+    return None
+
+
+def _rescan_reductions(adj: dict):
+    """Peel adj with the reference scan, removing each configuration's edge
+    (and a leaf's vertex) as the labeller does."""
+    while (step := _rescan_configuration(adj)) is not None:
+        yield step
+        a, b, *_ = vars(step).values()
+        adj[a].discard(b)
+        adj[b].discard(a)
+        if type(step) is Leaf:
+            del adj[a]
+
+
+def _disjoint_union(*graphs) -> Graph:
+    edges, n = [], 0
+    for h in graphs:
+        edges += [(u + n, v + n) for u, v in h.edges]
+        n += h.n
+    return Graph(n, edges)
+
+
+def _scan_inputs():
+    rng = random.Random(SEED + 12)
+    for n in range(3, 41):
+        yield Graph(n, [(i, j) for i in range(n) for j in (i + 1, i + 2) if j < n])  # zig-zag strip
+        yield make_fan(n)
+        yield make_random_tree(n, n)
+        for seed in range(3):
+            mop = make_random_maximal_outerplanar(n, seed)
+            yield mop
+            yield mop_with_degree(n, seed, max_delta=4)
+            yield mop_with_degree(n, seed, max_delta=5)
+            ends = rng.sample(range(n), 3)
+            yield Graph(n + 3, [*mop.edges, *((v, n + i) for i, v in enumerate(ends))])
+        yield _disjoint_union(make_random_maximal_outerplanar(n, 7), make_fan(4),
+                              make_random_tree(5, n), Graph(2))
+
+
+def test_bucketed_scan_matches_the_whole_graph_rescan():
+    for g in _scan_inputs():
+        ours = {v: set(g.adj[v]) for v in range(g.n)}
+        theirs = {v: set(g.adj[v]) for v in range(g.n)}
+        steps = list(constructive._reductions(ours))
+        assert steps == list(_rescan_reductions(theirs)), g.edges
+        assert ours == theirs
+        assert find_configuration(g) == (steps[0] if steps else None)
+
+
+def test_outerplanar_steps_match_the_whole_graph_rescan(monkeypatch):
+    # p=1 where the maximum degree is 4 (the strip, the capped graphs), else p=2
+    cases = [(g, min(2, g.max_degree - 3)) for g in _scan_inputs() if g.max_degree >= 4]
+    runs = []
+    for g, p in cases:
+        k = g.max_degree + 2 * p - 1
+        lists = rnd_lists(g, k, k + 2 * p, random.Random(f"{g.n}:{g.m}:{p}"))
+        audit = OuterplanarAudit()
+        runs.append((lists, label_outerplanar_list(g, p, lists, audit), audit))
+    monkeypatch.setattr(constructive, "_reductions", _rescan_reductions)
+    for (g, p), (lists, labelling, audit) in zip(cases, runs):
+        rescanned = OuterplanarAudit()
+        assert label_outerplanar_list(g, p, lists, rescanned) == labelling
+        assert rescanned == audit
 
 
 # --- outerplanar labeller ------------------------------------------------------------

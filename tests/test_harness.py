@@ -198,7 +198,7 @@ def test_random_k_assignment_matches_random_sample(g):
     # random.sample switches from its pool branch to its set branch above
     # 21 colors for k <= 5, and above 85 colors for 6 <= k <= 21; cover
     # universes from the least one, k-1, to one past each side of the switch
-    for k in range(1, 13):
+    for k in range(13):
         top = 22 if k <= 5 else 86
         for universe in range(k - 1, top):
             for seed in (0, 1):

@@ -317,3 +317,37 @@ def test_check_lists_names_the_first_bad_element(bad, message):
     with pytest.raises(ValueError) as info:
         check_lists(g, lists, minimum=2)
     assert str(info.value) == message
+
+
+def _expected_elements(g):
+    return [*map(Vertex, range(g.n)), *(Edge(u, v) for u, v in sorted(g.edges))]
+
+
+def test_elements_of_returns_a_fresh_list_each_call():
+    g = make_star(3)
+    first = elements_of(g)
+    first.append(Vertex(99))
+    first[0] = Edge(5, 6)
+    assert elements_of(g) == _expected_elements(g)
+    assert elements_of(g) is not elements_of(g)
+
+
+def test_elements_of_follows_the_graph_it_is_given():
+    g, h = make_star(3), make_path(4)  # same n and m, different edges
+    twin = Graph(4, [(0, 3), (0, 1), (2, 0)])  # equal to g, built apart
+    assert twin == g and twin is not g
+    for graph in (g, h, g, twin, h, Graph(0), twin, make_path(1), g):
+        assert elements_of(graph) == _expected_elements(graph)
+
+
+def test_check_lists_names_missing_and_foreign_keys_after_another_graph():
+    g, h = make_star(2), make_path(4)  # e:1-2 is an element of h, not of g
+    lists = {x: {0, 1} for x in elements_of(g)}
+    del lists[Edge(0, 2)]
+    check_lists(h, {x: {0} for x in elements_of(h)})
+    with pytest.raises(ValueError, match="missing list for element e:0-2"):
+        check_lists(g, lists)
+    lists[Edge(0, 2)] = lists[Edge(1, 2)] = {0, 1}
+    check_lists(h, {x: {0} for x in elements_of(h)})
+    with pytest.raises(ValueError, match="list for e:1-2, which is not an element"):
+        check_lists(g, lists)
