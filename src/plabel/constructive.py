@@ -4,8 +4,8 @@ Each routine takes a graph, a separation p, and a list assignment whose
 lists meet the guarantee threshold for its graph family, and produces a
 valid list-respecting (p,1)-total labelling deterministically:
 
-  paths          lists of size 2p+1, sequential greedy
-  trees          lists of size max(Delta,2)+2p-1, depth-first greedy
+  paths          lists of size 2p+1, the tree greedy from an end
+  trees          lists of size max(Delta,2)+2p-1, greedy from vertex 0
   stars          lists of size n+2p-1 (p>=2, n>=3), protected-edge routine
   outerplanar    lists of size Delta+2p-1 when Delta>=p+3, reducible
                  configurations with minimum-color extensions
@@ -25,8 +25,6 @@ from itertools import combinations
 
 from .graphs import Graph, make_star
 from .labelling import (
-    Edge,
-    Vertex,
     _edge_positions,
     _elements,
     check_lists,
@@ -74,53 +72,57 @@ def _least(colors) -> int:
     return min(colors)
 
 
-# --- paths --------------------------------------------------------------------
+# --- paths and trees ----------------------------------------------------------
 
 
-def _path_order(g: Graph) -> list[int]:
-    if g.n == 1:
-        return [0]
-    degs = [g.degree(v) for v in range(g.n)]
-    ends = [v for v in range(g.n) if degs[v] == 1]
-    if g.m != g.n - 1 or max(degs) > 2 or len(ends) != 2 or not g.is_connected():
-        raise ValueError("graph is not a path")
-    order = [min(ends)]
-    prev = -1
-    while len(order) < g.n:
-        nxt = [w for w in g.adj[order[-1]] if w != prev]
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
+def _greedy_from(g: Graph, p: int, lists: list, root: int) -> list:
+    """Color the root of the tree g, then from each colored vertex u each
+    uncolored neighbour w: first the edge uw, then w, least available color.
+
+    The edge avoids the ball of c(u) and the colors of u's colored edges; w
+    avoids c(u) and the ball of c(uw). Each element is colored once, from its
+    parent u, and sees only colors at u, all fixed before u is visited except
+    those of u's earlier child edges, which u colors itself in adjacency
+    order. So the order in which vertices are visited changes no color.
+    """
+    edge_at = _edge_positions(g)
+    c: list = [None] * len(lists)
+    edge_colors: list[list[int]] = [[] for _ in range(g.n)]
+    c[root] = _least(lists[root])
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        for w in g.adj[u]:
+            if c[w] is not None:
+                continue
+            e = edge_at[u, w]
+            c[e] = _least(set(lists[e]) - p_ball(c[u], p) - set(edge_colors[u]))
+            edge_colors[u].append(c[e])
+            edge_colors[w].append(c[e])
+            c[w] = _least(set(lists[w]) - {c[u]} - p_ball(c[e], p))
+            stack.append(w)
+    return c
 
 
 def label_path_greedy(g: Graph, p: int, lists: dict) -> dict:
-    """Color a path's vertices and edges in walk order, least available color.
+    """Color a path from its lower end with the tree greedy, least available color.
 
     Each element after the first sees at most 2p forbidden colors (the
     previous element's color plus the separation ball of the element it is
-    incident to), so lists of size 2p+1 never run dry.
+    incident to), so lists of size 2p+1 never run dry: at Delta = 2 this is
+    the tree bound.
     """
     if p < 1:
         raise ValueError("the sequential greedy needs p >= 1")
-    order = _path_order(g)
+    if g.m != g.n - 1 or g.max_degree > 2 or not g.is_connected():
+        raise ValueError("graph is not a path")
     lists = check_lists(g, lists, minimum=2 * p + 1)
-    edge_at = _edge_positions(g)
-    c: list = [None] * len(lists)
-    c[order[0]] = _least(lists[order[0]])
-    prev_edge: set = set()  # the color of the edge before u, once there is one
-    for u, v in zip(order, order[1:]):
-        e = edge_at[u, v]
-        c[e] = _least(set(lists[e]) - p_ball(c[u], p) - prev_edge)
-        c[v] = _least(set(lists[v]) - {c[u]} - p_ball(c[e], p))
-        prev_edge = {c[e]}
-    return _checked_output(g, p, c, lists)
-
-
-# --- trees --------------------------------------------------------------------
+    end = next(v for v in range(g.n) if g.degree(v) <= 1)
+    return _checked_output(g, p, _greedy_from(g, p, lists, end), lists)
 
 
 def label_tree_dfs(g: Graph, p: int, lists: dict) -> dict:
-    """Depth-first greedy: color the root, then each descent edge before its child.
+    """Tree greedy from vertex 0: color the root, then each edge before its child.
 
     When stepping from u to child w along e, the edge avoids the ball of
     c(u) and the colors of u's already-colored edges (at most
@@ -136,32 +138,7 @@ def label_tree_dfs(g: Graph, p: int, lists: dict) -> dict:
     # one-edge tree
     need = 1 if g.m == 0 else max(g.max_degree, 2) + 2 * p - 1
     lists = check_lists(g, lists, minimum=need)
-    edge_at = _edge_positions(g)
-    c: list = [None] * len(lists)
-    edge_colors: list[list[int]] = [[] for _ in range(g.n)]
-    root = 0
-    c[root] = _least(lists[root])
-    stack = [(root, iter(g.adj[root]))]
-    seen = {root}
-    while stack:
-        u, children = stack[-1]
-        advanced = False
-        for w in children:
-            if w in seen:
-                continue
-            seen.add(w)
-            e = edge_at[u, w]
-            forb = p_ball(c[u], p) | set(edge_colors[u])
-            c[e] = _least(set(lists[e]) - forb)
-            edge_colors[u].append(c[e])
-            edge_colors[w].append(c[e])
-            c[w] = _least(set(lists[w]) - {c[u]} - p_ball(c[e], p))
-            stack.append((w, iter(g.adj[w])))
-            advanced = True
-            break
-        if not advanced:
-            stack.pop()
-    return _checked_output(g, p, c, lists)
+    return _checked_output(g, p, _greedy_from(g, p, lists, 0), lists)
 
 
 # --- stars --------------------------------------------------------------------
@@ -385,9 +362,10 @@ class OuterplanarAudit:
     """Trace of one outerplanar labelling run.
 
     steps records each reduction with its reduced-list sizes; the counters
-    track the rare repair paths of the degree-4 hub case. full_resolves
-    reaching a complete re-solve is treated as a research event by the
-    experiment harness.
+    track the rare repair paths of the degree-4 hub case. restricted_solves
+    counts the C3 steps left with no pair after the interchange, each of which
+    goes on to a full re-solve (full_resolves); reaching one is treated as a
+    research event by the experiment harness.
     """
 
     steps: list = field(default_factory=list)
@@ -561,16 +539,11 @@ class _Rebuilder:
         if pair is not None:
             c[u1], c[e] = pair
             return
-        # pin every colored element and let the complete solver place just
-        # the hub edge and its degree-2 endpoint
+        # still no pair. With every other element pinned, u1 and the hub edge
+        # see exactly these two pools, so a solve of just those two would fail
+        # as well. Re-solve the whole instance; a failure here would contradict
+        # the list-size guarantee
         self.audit.restricted_solves += 1
-        pinned = [self.lists[i] if c[i] is None else {c[i]} for i in in_g]
-        restricted = solve_list(working, p, pinned)
-        if restricted.labelled:
-            c[u1], c[e] = restricted.labelling[Vertex(u1)], restricted.labelling[Edge(x, u1)]
-            return
-        # last resort: re-solve the whole instance; a failure here would
-        # contradict the list-size guarantee
         self.audit.full_resolves += 1
         full = solve_list(self.g, p, self.lists)
         if not full.labelled:

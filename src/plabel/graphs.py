@@ -183,19 +183,17 @@ def make_random_tree(n: int, seed: int) -> Graph:
     return Graph(n, edges)
 
 
-def make_random_maximal_outerplanar(n: int, seed: int, with_cycle: bool = False):
+def make_random_maximal_outerplanar(n: int, seed: int) -> Graph:
     """Random triangulation of a convex polygon, built by repeated ear insertion.
 
     Starts from a triangle and inserts each new vertex as an ear on a randomly
     chosen edge of the current outer cycle, so the result is maximal
     outerplanar by construction: 2n-3 edges and a Hamiltonian outer cycle.
-    Deterministic given (n, seed). With with_cycle=True also returns the
-    outer cycle as a vertex list.
+    Deterministic given (n, seed).
     """
     if n < 3:
         raise ValueError("a maximal outerplanar graph needs at least 3 vertices")
-    g, cycle = _grow_by_ears(n, random.Random(f"mop:{n}:{seed}"))
-    return (g, cycle) if with_cycle else g
+    return _grow_by_ears(n, random.Random(f"mop:{n}:{seed}"))[0]
 
 
 def _grow_by_ears(n: int, rng: random.Random, cap: int | None = None):

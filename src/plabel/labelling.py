@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .graphs import Graph, IncidenceMap
@@ -70,19 +71,11 @@ def element_key(x: Element) -> tuple:
     return (1, x.u, x.v)
 
 
-_last_elements: tuple = (None, ())  # the last graph given to _elements, and its elements
-
-
+@lru_cache(maxsize=1)
 def _elements(g: Graph) -> tuple[Element, ...]:
     """Every element of g in the element total order, kept for the next call
     on an equal graph."""
-    global _last_elements
-    last, elements = _last_elements
-    if last is g or last == g:
-        return elements
-    elements = (*map(Vertex, range(g.n)), *(Edge(u, v) for u, v in g.sorted_edges()))
-    _last_elements = g, elements
-    return elements
+    return (*map(Vertex, range(g.n)), *(Edge(u, v) for u, v in g.sorted_edges()))
 
 
 def elements_of(g: Graph) -> list[Element]:

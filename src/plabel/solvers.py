@@ -12,6 +12,7 @@ exhaustive / budgeted searches over normalized list assignments.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import json
@@ -233,62 +234,47 @@ def _search(domains, cons, p: int, groups):
     return None, nodes
 
 
-def _lp1_constraints(g: Graph):
-    """Per vertex of g, its (other_vertex, needs_separation) pairs.
+def _lp1_model(g: Graph, p: int):
+    """The partners and groups of g's vertex labelling, built in one pass.
 
+    Per vertex of g, its partners are (other_vertex, needs_separation) pairs.
     needs_separation=True means |colors| >= p (adjacent vertices); False means
     plain inequality (vertices at distance exactly two). Distance-two pairs
-    are linked first, so each partner list holds its inequality pairs before
-    its separation pairs. The order does not change the search; the reverse
-    order visits the same nodes, about 1% slower.
+    are linked first, through each common neighbour in turn, so each partner
+    list holds its inequality pairs before its separation pairs. The order
+    does not change the search; the reverse order visits the same nodes,
+    about 1% slower.
+
+    The groups are the (w, N(w)) pairs whose members must take pairwise
+    distinct colors. Two neighbours of w are at distance two, or adjacent and
+    so at least p >= 1 apart. At p = 0 adjacent neighbours may share a color,
+    so a neighbourhood that holds an edge is left out.
     """
     cons: list[list[tuple[int, bool]]] = [[] for _ in range(g.n)]
-    seen = set()
-
-    def link(a: int, b: int, sep: bool) -> None:
-        if (a, b, sep) in seen:
-            return
-        seen.add((a, b, sep))
-        seen.add((b, a, sep))
-        cons[a].append((b, sep))
-        cons[b].append((a, sep))
-
-    for w in range(g.n):
-        for a, b in itertools.combinations(g.adj[w], 2):
-            if not g.has_edge(a, b):
-                link(a, b, False)
-    for u, v in g.sorted_edges():
-        link(u, v, True)
-    return cons
-
-
-def _neighbourhood_groups(g: Graph, p: int):
-    """The (w, N(w)) pairs of g whose members must take pairwise distinct colors.
-
-    Two neighbours of w are at distance two, or adjacent and so at least
-    p >= 1 apart. At p = 0 adjacent neighbours may share a color, so a
-    neighbourhood that holds an edge is left out.
-    """
-    return [
-        (w, members) for w, members in enumerate(g.adj)
+    seen = [{v, *members} for v, members in enumerate(g.adj)]  # linked or adjacent
+    groups = []
+    for w, members in enumerate(g.adj):
+        for a, b in itertools.combinations(members, 2):
+            if b not in seen[a]:
+                seen[a].add(b)
+                seen[b].add(a)
+                cons[a].append((b, False))
+                cons[b].append((a, False))
         if members and (p > 0 or not any(
-            g.has_edge(a, b) for a, b in itertools.combinations(members, 2)))
-    ]
+                g.has_edge(a, b) for a, b in itertools.combinations(members, 2))):
+            groups.append((w, members))
+    for partners, members in zip(cons, g.adj):
+        partners.extend((v, True) for v in members)
+    return cons, groups
 
 
-_last_model: tuple = (None, None)  # the last graph given to _total_model, and its model
-
-
+@functools.lru_cache(maxsize=1)
 def _total_model(g: Graph):
-    """_lp1_constraints and _neighbourhood_groups of the once-subdivided graph,
-    as tuples, read off g: the edges at a vertex and the ends of an edge are
-    at distance two, a vertex and its edges adjacent. No two neighbours are
-    adjacent, so no pair repeats and no group depends on p. The model is kept
-    for the next call on an equal graph."""
-    global _last_model
-    last, model = _last_model
-    if last is g or last == g:
-        return model
+    """_lp1_model of the once-subdivided graph, as tuples, read off g: the
+    edges at a vertex and the ends of an edge are at distance two, a vertex
+    and its edges adjacent. No two neighbours are adjacent, so no pair
+    repeats and no group depends on p. The model is kept for the next call
+    on an equal graph."""
     n, edges = g.n, g.sorted_edges()
     at: list[list[int]] = [[] for _ in range(n)]
     for j, (u, v) in enumerate(edges, n):
@@ -302,9 +288,7 @@ def _total_model(g: Graph):
         cons[a].append((b, sep))
         cons[b].append((a, sep))
     groups = [(w, tuple(ends)) for w, ends in enumerate(at) if ends] + list(enumerate(edges, n))
-    model = tuple(map(tuple, cons)), tuple(groups)
-    _last_model = g, model
-    return model
+    return tuple(map(tuple, cons)), tuple(groups)
 
 
 def _solve(cons, groups, p: int, domains):
@@ -349,8 +333,7 @@ def lp1_solve_span(g: Graph, p: int, k: int) -> SolveResult:
     """Vertex labelling into {0..k}: adjacent >= p apart, distance-2 distinct."""
     if p < 0 or k < 0:
         raise ValueError("p and k must be non-negative")
-    assignment, nodes, seconds = _solve(
-        _lp1_constraints(g), _neighbourhood_groups(g, p), p, [range(k + 1)] * g.n)
+    assignment, nodes, seconds = _solve(*_lp1_model(g, p), p, [range(k + 1)] * g.n)
     if assignment is None:
         return SolveResult(None, nodes, seconds)
     labels = dict(enumerate(assignment))

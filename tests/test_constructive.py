@@ -35,11 +35,14 @@ from plabel.harness import mop_with_degree
 from plabel.labelling import (
     Edge,
     Vertex,
+    _edge_positions,
+    check_lists,
     element_from_name,
     elements_of,
     full_lists,
     is_valid,
     labelling_to_json,
+    p_ball,
     respects_lists,
 )
 from plabel.solvers import solve_list
@@ -144,6 +147,111 @@ def test_tree_dfs_rejects_non_tree():
     cyc = Graph(3, [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(ValueError):
         label_tree_dfs(cyc, 2, full_lists(cyc, range(9)))
+
+
+def _walk_path(g, p, lists):
+    """The former path labeller: an explicit walk from the lower end."""
+    if p < 1:
+        raise ValueError("the sequential greedy needs p >= 1")
+    if g.n == 1:
+        order = [0]
+    else:
+        degs = [g.degree(v) for v in range(g.n)]
+        ends = [v for v in range(g.n) if degs[v] == 1]
+        if g.m != g.n - 1 or max(degs) > 2 or len(ends) != 2 or not g.is_connected():
+            raise ValueError("graph is not a path")
+        order = [min(ends)]
+        prev = -1
+        while len(order) < g.n:
+            nxt = [w for w in g.adj[order[-1]] if w != prev]
+            prev = order[-1]
+            order.append(nxt[0])
+    lists = check_lists(g, lists, minimum=2 * p + 1)
+    edge_at = _edge_positions(g)
+    c = [None] * len(lists)
+    c[order[0]] = constructive._least(lists[order[0]])
+    prev_edge = set()
+    for u, v in zip(order, order[1:]):
+        e = edge_at[u, v]
+        c[e] = constructive._least(set(lists[e]) - p_ball(c[u], p) - prev_edge)
+        c[v] = constructive._least(set(lists[v]) - {c[u]} - p_ball(c[e], p))
+        prev_edge = {c[e]}
+    return constructive._checked_output(g, p, c, lists)
+
+
+def _iterator_stack_dfs(g, p, lists):
+    """The former tree labeller: a depth-first search on a stack of iterators."""
+    if p < 1:
+        raise ValueError("the depth-first greedy needs p >= 1")
+    if g.m != g.n - 1 or not g.is_connected():
+        raise ValueError("graph is not a tree")
+    need = 1 if g.m == 0 else max(g.max_degree, 2) + 2 * p - 1
+    lists = check_lists(g, lists, minimum=need)
+    edge_at = _edge_positions(g)
+    c = [None] * len(lists)
+    edge_colors = [[] for _ in range(g.n)]
+    c[0] = constructive._least(lists[0])
+    stack = [(0, iter(g.adj[0]))]
+    seen = {0}
+    while stack:
+        u, children = stack[-1]
+        advanced = False
+        for w in children:
+            if w in seen:
+                continue
+            seen.add(w)
+            e = edge_at[u, w]
+            forb = p_ball(c[u], p) | set(edge_colors[u])
+            c[e] = constructive._least(set(lists[e]) - forb)
+            edge_colors[u].append(c[e])
+            edge_colors[w].append(c[e])
+            c[w] = constructive._least(set(lists[w]) - {c[u]} - p_ball(c[e], p))
+            stack.append((w, iter(g.adj[w])))
+            advanced = True
+            break
+        if not advanced:
+            stack.pop()
+    return constructive._checked_output(g, p, c, lists)
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _labelling_or_error(label, g, p, lists):
+    try:
+        return label(g, p, lists)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+def test_one_greedy_matches_the_former_walk_and_dfs():
+    # paths and trees relabelled at random (so a path's lower end is rarely
+    # vertex 0), non-paths and non-trees, p = 0..4, full, random and short lists
+    rng = random.Random(SEED + 3)
+    paths = [_relabelled(make_path(n), rng) for n in range(1, 41)]
+    trees = [_relabelled(make_random_tree(n, n), rng) for n in range(1, 51)]
+    others = [Graph(0), Graph(2), make_star(3), Graph(3, [(0, 1), (1, 2), (0, 2)]),
+              Graph(4, [(0, 1), (2, 3)]), Graph(5, [(0, 1), (1, 2), (2, 0), (3, 4)]),
+              _relabelled(make_fan(5), rng)]
+    assert sum(g.n > 1 and min(v for v in range(g.n) if g.degree(v) == 1) > 0
+               for g in paths) >= 30
+    pairs = ((label_path_greedy, _walk_path, lambda g, p: 2 * p + 1),
+             (label_tree_dfs, _iterator_stack_dfs,
+              lambda g, p: max(g.max_degree, 2) + 2 * p - 1))
+    outcomes = {"labelled": 0, "error": 0}
+    for label, reference, size in pairs:
+        for g in paths + trees + others:
+            for p in range(5):
+                k = size(g, p)
+                for lists in (full_lists(g, range(k)), rnd_lists(g, k, k + 2 * p, rng),
+                              rnd_lists(g, k - 1, k + 2 * p, rng)):
+                    mine = _labelling_or_error(label, g, p, lists)
+                    assert mine == _labelling_or_error(reference, g, p, lists), (g, p, lists)
+                    outcomes["error" if isinstance(mine, str) else "labelled"] += 1
+    assert min(outcomes.values()) >= 1000, outcomes
 
 
 # --- stars ----------------------------------------------------------------------
@@ -488,9 +596,9 @@ def test_c3_interchange_tight_case():
 
 
 def test_c3_fallback_recovers_from_corrupted_state():
-    # corrupt the completed context so the interchange is rejected and the
-    # pinned restricted solve cannot help; the rebuilder must fall back to a
-    # full re-solve and still hand back a valid labelling of the whole graph
+    # corrupt the completed context so the interchange is rejected and no pair
+    # is left; the rebuilder must fall back to a full re-solve and still hand
+    # back a valid labelling of the whole graph
     p = 3
     g, h, lists, c = _tight_c3_state(p)
     c[Edge(4, 5)] = c[Edge(5, 6)]  # adjacent edges now clash
@@ -512,7 +620,7 @@ def test_c3_fallback_recovers_from_corrupted_state():
 
 # Delta = 4 = p+3 at p=1, found by a seeded sweep: the C3 hub-edge pool is empty
 # (its bound is p-1 = 0) and the interchange swaps two colors that pool already
-# excludes, so the restricted solve and then the full re-solve are both needed
+# excludes, so the step is left with no pair and the full re-solve is needed
 _P1_FALLBACK_LISTS = {
     "v:0": [0, 1, 2, 3, 5], "v:1": [0, 2, 3, 4, 5], "v:2": [0, 1, 2, 3, 5],
     "v:3": [0, 1, 3, 4, 6], "v:4": [0, 1, 2, 4, 6], "v:5": [0, 1, 2, 3, 4],
@@ -531,6 +639,20 @@ def test_outerplanar_p1_instance_reaches_both_solver_fallbacks():
     assert respects_lists(c, lists)
     assert (audit.interchanges, audit.invalid_swaps) == (1, 0)
     assert (audit.restricted_solves, audit.full_resolves) == (1, 1)
+
+
+def test_c3_repair_calls_the_solver_only_for_the_full_resolve(monkeypatch):
+    calls = []
+
+    def counted(g, p, lists):
+        calls.append(g)
+        return solve_list(g, p, lists)
+
+    monkeypatch.setattr(constructive, "solve_list", counted)
+    g = parse_graph6("E|Z?")
+    lists = {element_from_name(name): set(colors) for name, colors in _P1_FALLBACK_LISTS.items()}
+    label_outerplanar_list(g, 1, lists)
+    assert calls == [g]
 
 
 def test_outerplanar_bridge_disconnection():

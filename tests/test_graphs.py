@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from plabel import graphs
 from plabel.graphs import (
     Graph,
     GraphParseError,
@@ -113,7 +116,7 @@ def test_random_tree_is_deterministic_tree():
 
 def test_random_maximal_outerplanar():
     for n, seed in [(3, 0), (6, 1), (14, 9)]:
-        g, cycle = make_random_maximal_outerplanar(n, seed, with_cycle=True)
+        g, cycle = graphs._grow_by_ears(n, random.Random(f"mop:{n}:{seed}"))
         assert g.m == 2 * n - 3
         assert g.min_degree == 2
         assert g == make_random_maximal_outerplanar(n, seed)

@@ -22,8 +22,7 @@ from plabel.solvers import (
     Certificate,
     InstanceTooLarge,
     _lex_product,
-    _lp1_constraints,
-    _neighbourhood_groups,
+    _lp1_model,
     _search,
     _total_model,
     certify_choosable,
@@ -388,7 +387,7 @@ def test_search_order_matches_rescanning_reference(g, p, k):
     # without groups the heap-kept order must visit exactly the reference's
     # nodes, backtracking included, and return the same answer
     derived = incidence_graph(g).derived
-    cons = _lp1_constraints(derived)
+    cons, _ = _lp1_model(derived, p)
     mine = _search([set(range(k + 1)) for _ in range(derived.n)], cons, p, [])
     assert mine == _rescanning_search([set(range(k + 1)) for _ in range(derived.n)], cons, p)
 
@@ -406,7 +405,7 @@ def test_search_order_matches_rescanning_reference_on_random_lists():
         pool = sorted(rng.sample(range(low, low + 3 * width), width))
         lists = [set(rng.sample(pool, rng.randrange(1, width + 1))) for _ in range(g.n + g.m)]
         derived = incidence_graph(g).derived
-        cons = _lp1_constraints(derived)
+        cons, _ = _lp1_model(derived, p)
         mine = _search([set(colors) for colors in lists], cons, p, [])
         assert mine == _rescanning_search([set(colors) for colors in lists], cons, p), (g, p, lists)
         outcomes["refuted" if mine[0] is None else "labelled"] += 1
@@ -433,12 +432,41 @@ def test_total_model_matches_the_subdivided_graph():
     for g in graphs:
         derived = incidence_graph(g).derived
         cons, groups = _total_model(g)
-        assert [list(partners) for partners in cons] == _lp1_constraints(derived), g
         for p in range(4):
-            assert list(groups) == _neighbourhood_groups(derived, p), (g, p)
+            partners, lp1_groups = _lp1_model(derived, p)
+            assert [list(x) for x in cons] == partners, (g, p)
+            assert list(groups) == lp1_groups, (g, p)
 
 
-def test_reused_model_gives_fresh_answers(monkeypatch):
+def test_lp1_model_links_adjacent_and_distance_two_pairs():
+    # brute force: partners are the neighbours (separation) and the vertices
+    # at distance exactly two (inequality), once each, inequalities first; a
+    # group is a neighbourhood whose members must all take distinct colors
+    rng = random.Random(13)
+    graphs = [Graph(3, [(0, 1), (1, 2), (0, 2)]), Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+              Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]),
+              Graph(4, list(itertools.combinations(range(4), 2))), make_fan(5), Graph(0)]
+    for _ in range(60):
+        n = rng.randrange(1, 9)
+        pairs = list(itertools.combinations(range(n), 2))
+        graphs.append(Graph(n, rng.sample(pairs, rng.randrange(len(pairs) + 1))))
+    for g in graphs:
+        for p in range(3):
+            cons, groups = _lp1_model(g, p)
+            for v in range(g.n):
+                near = set(g.adj[v])
+                far = {w for u in near for w in g.adj[u]} - near - {v}
+                expected = {(w, True) for w in near} | {(w, False) for w in far}
+                assert len(cons[v]) == len(expected) and set(cons[v]) == expected, (g, v)
+                seps = [sep for _, sep in cons[v]]
+                assert seps == sorted(seps), (g, v)
+            kept = [w for w in range(g.n) if g.adj[w] and all(
+                (b, False) in cons[a] or (p > 0 and (b, True) in cons[a])
+                for a, b in itertools.combinations(g.adj[w], 2))]
+            assert groups == [(w, g.adj[w]) for w in kept], (g, p)
+
+
+def test_reused_model_gives_fresh_answers():
     import plabel.solvers as solvers
 
     star, path, mop = make_star(3), make_path(4), _MOP10_DELTA6
@@ -449,10 +477,10 @@ def test_reused_model_gives_fresh_answers(monkeypatch):
              (path, 2, 4), (star, 2, 4)]
     fresh = []
     for g, p, k in calls:
-        monkeypatch.setattr(solvers, "_last_model", (None, None))
+        solvers._total_model.cache_clear()
         result = solve_span(g, p, k)
         fresh.append((result.labelling, result.nodes))
-    monkeypatch.setattr(solvers, "_last_model", (None, None))
+    solvers._total_model.cache_clear()
     reused = [(result.labelling, result.nodes)
               for result in (solve_span(g, p, k) for g, p, k in calls)]
     assert reused == fresh
