@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 from pathlib import Path
 
 from .constructive import OuterplanarAudit, TheoremViolation, label_star_span
@@ -199,7 +200,9 @@ def cmd_hunt(args) -> int:
     return _finish_report(hunt_counterexamples(args.conjecture, spec), args)
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every main()."""
     parser = argparse.ArgumentParser(
         prog="plabel",
         description="(p,1)-total labellings: exact solvers, constructive labellers, "
@@ -287,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hunt", help="counterexample search at the conjectured bounds")
     sp.add_argument("--conjecture", required=True, choices=("general", "outerplanar"))
-    sp.add_argument("--p-values", type=int, nargs="+", default=[2])
+    sp.add_argument("--p-values", type=int, nargs="+", default=(2,))
     sp.add_argument("--size-min", type=int, default=3)
     sp.add_argument("--size-max", type=int, default=6)
     sp.add_argument("--trials", type=int, default=6)

@@ -12,6 +12,8 @@ valid list-respecting (p,1)-total labelling deterministically:
 
 Inside, every routine reads the lists and colors by element position (vertex
 v at v, the j-th sorted edge at n+j) and builds the element dict on return.
+The path, tree and outerplanar routines work on bitmask lists, the encoding
+of the exact search: bit i stands for the i-th color of the lists' union.
 Every returned labelling is re-validated unconditionally. A failure of a
 guarantee that the underlying mathematics rules out raises
 TheoremViolation, which is a reportable research event rather than an
@@ -20,11 +22,13 @@ expected error path.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from .graphs import Graph, make_star
 from .labelling import (
+    _color_masks,
     _edge_positions,
     _elements,
     check_lists,
@@ -66,10 +70,11 @@ def _checked_output(g: Graph, p: int, c: list, lists: list | None = None) -> dic
     return dict(zip(_elements(g), c))
 
 
-def _least(colors) -> int:
-    if not colors:
+def _lowest(mask: int) -> int:
+    """The rank of the least color in a nonempty mask."""
+    if not mask:
         raise AssertionError("no color available where the counting bound promised one")
-    return min(colors)
+    return (mask & -mask).bit_length() - 1
 
 
 # --- paths and trees ----------------------------------------------------------
@@ -85,10 +90,11 @@ def _greedy_from(g: Graph, p: int, lists: list, root: int) -> list:
     those of u's earlier child edges, which u colors itself in adjacency
     order. So the order in which vertices are visited changes no color.
     """
+    values, near, masks = _color_masks(lists, p)
     edge_at = _edge_positions(g)
     c: list = [None] * len(lists)
-    edge_colors: list[list[int]] = [[] for _ in range(g.n)]
-    c[root] = _least(lists[root])
+    used = [0] * g.n  # the colors on each vertex's colored edges
+    c[root] = _lowest(masks[root])
     stack = [root]
     while stack:
         u = stack.pop()
@@ -96,12 +102,12 @@ def _greedy_from(g: Graph, p: int, lists: list, root: int) -> list:
             if c[w] is not None:
                 continue
             e = edge_at[u, w]
-            c[e] = _least(set(lists[e]) - p_ball(c[u], p) - set(edge_colors[u]))
-            edge_colors[u].append(c[e])
-            edge_colors[w].append(c[e])
-            c[w] = _least(set(lists[w]) - {c[u]} - p_ball(c[e], p))
+            ce = c[e] = _lowest(masks[e] & ~near[c[u]] & ~used[u])
+            used[u] |= 1 << ce
+            used[w] |= 1 << ce
+            c[w] = _lowest(masks[w] & ~(1 << c[u]) & ~near[ce])
             stack.append(w)
-    return c
+    return [values[i] for i in c]
 
 
 def label_path_greedy(g: Graph, p: int, lists: dict) -> dict:
@@ -391,14 +397,6 @@ def _audit_bound(
             )
 
 
-def _find_pair(vert_pool: set, edge_pool: set, p: int) -> tuple[int, int] | None:
-    for a in sorted(vert_pool):
-        for b in sorted(edge_pool):
-            if abs(a - b) >= p:
-                return a, b
-    return None
-
-
 class _Rebuilder:
     """Working state for the outerplanar extension phase.
 
@@ -406,6 +404,8 @@ class _Rebuilder:
     labelling and the fixed lists by element position of g, and the audit
     counters. Each reduction kind has a method that re-inserts and colors its
     piece; when it is called, adj is the graph right after that reduction.
+    The lists are masks over the union of their colors and those of the c
+    given, and c holds ranks in that union; colors() reads the colors back.
     """
 
     def __init__(self, g: Graph, p: int, lists: list, audit: OuterplanarAudit,
@@ -415,109 +415,117 @@ class _Rebuilder:
         self.lists = lists
         self.audit = audit
         self.adj = adj
-        self.c = c
+        self.values, self.near, self.masks = _color_masks(
+            [*lists, [color for color in c if color is not None]], p)
+        self.c = [None if color is None else bisect_left(self.values, color) for color in c]
         self.edge_at = _edge_positions(g)
         self.resolved_whole_graph = False
+
+    def colors(self) -> list:
+        """The labelling by element position, in colors (None where unlabelled)."""
+        return [None if r is None else self.values[r] for r in self.c]
 
     def _add_edge(self, u, v):
         self.adj.setdefault(u, set()).add(v)
         self.adj.setdefault(v, set()).add(u)
 
     def extend_leaf(self, v, u):
-        c, p = self.c, self.p
+        c, near, masks = self.c, self.near, self.masks
         self._add_edge(v, u)
         e = self.edge_at[v, u]
-        at_u = {c[self.edge_at[u, nb]] for nb in self.adj[u] if nb != v}
-        pool_e = set(self.lists[e]) - at_u - p_ball(c[u], p)
-        _audit_bound(self.audit, "leaf", (v, u), {"edge": len(pool_e)}, {"edge": 1})
-        c[e] = _least(pool_e)
-        c[v] = _least(set(self.lists[v]) - {c[u]} - p_ball(c[e], p))
+        at_u = sum({1 << c[self.edge_at[u, nb]] for nb in self.adj[u] if nb != v})
+        pool_e = masks[e] & ~at_u & ~near[c[u]]
+        _audit_bound(self.audit, "leaf", (v, u), {"edge": pool_e.bit_count()}, {"edge": 1})
+        c[e] = _lowest(pool_e)
+        c[v] = _lowest(masks[v] & ~(1 << c[u]) & ~near[c[e]])
 
     def extend_c1(self, u, v):
-        c, p, edge_at = self.c, self.p, self.edge_at
+        c, p, near, masks, edge_at = self.c, self.p, self.near, self.masks, self.edge_at
         (x,), (y,) = self.adj[u], self.adj[v]  # each had degree 2
         self._add_edge(u, v)
         e = edge_at[u, v]
         c[u] = c[v] = None
         eu, ev = edge_at[u, x], edge_at[v, y]
-        pool_u = set(self.lists[u]) - {c[x]} - p_ball(c[eu], p)
-        pool_v = set(self.lists[v]) - {c[y]} - p_ball(c[ev], p)
-        pool_e = set(self.lists[e]) - {c[eu], c[ev]}
+        pool_u = masks[u] & ~(1 << c[x]) & ~near[c[eu]]
+        pool_v = masks[v] & ~(1 << c[y]) & ~near[c[ev]]
+        pool_e = masks[e] & ~(1 << c[eu] | 1 << c[ev])
         _audit_bound(
             self.audit, "c1", (u, v),
-            {"u": len(pool_u), "v": len(pool_v), "edge": len(pool_e)},
+            {"u": pool_u.bit_count(), "v": pool_v.bit_count(), "edge": pool_e.bit_count()},
             {"u": p + 2, "v": p + 2, "edge": 3 * p},
         )
-        m = min(pool_u | pool_v | pool_e)
-        if m not in pool_u and m not in pool_v:
+        m = _lowest(pool_u | pool_v | pool_e)
+        if not (pool_u | pool_v) >> m & 1:
             # the minimum lives on the edge only: place it there, both ends
             # then lose at most p-1 colors each
             c[e] = m
-            c[u] = _least(pool_u - p_ball(m, p))
-            c[v] = _least(pool_v - p_ball(m, p) - {c[u]})
+            c[u] = _lowest(pool_u & ~near[m])
+            c[v] = _lowest(pool_v & ~near[m] & ~(1 << c[u]))
             return
-        if m in pool_u:
+        if pool_u >> m & 1:
             first, second, spool = u, v, pool_v
         else:
             first, second, spool = v, u, pool_u
         c[first] = m
-        spool2 = spool - {m}
-        epool2 = pool_e - p_ball(m, p)
-        m1 = min(spool2 | epool2)
-        if m1 in spool2:
+        spool2 = spool & ~(1 << m)
+        epool2 = pool_e & ~near[m]
+        m1 = _lowest(spool2 | epool2)
+        if spool2 >> m1 & 1:
             c[second] = m1
-            c[e] = _least(epool2 - p_ball(m1, p))
+            c[e] = _lowest(epool2 & ~near[m1])
         else:
             c[e] = m1
-            c[second] = _least(spool2 - p_ball(m1, p))
+            c[second] = _lowest(spool2 & ~near[m1])
 
     def extend_c2(self, u, v1, v2):
-        c, p, edge_at = self.c, self.p, self.edge_at
+        c, p, near, masks, edge_at = self.c, self.p, self.near, self.masks, self.edge_at
         z = next(w for w in self.adj[v1] if w != v2)  # v1 had degree 3: u, v2 and z
         self._add_edge(u, v1)
         e = edge_at[u, v1]
         c[u] = None
-        pool_u = set(self.lists[u]) - {c[v1], c[v2]} - p_ball(c[edge_at[u, v2]], p)
-        pool_e = (
-            set(self.lists[e])
-            - {c[edge_at[v1, z]], c[edge_at[v1, v2]], c[edge_at[u, v2]]}
-            - p_ball(c[v1], p)
-        )
+        pool_u = masks[u] & ~(1 << c[v1] | 1 << c[v2]) & ~near[c[edge_at[u, v2]]]
+        pool_e = masks[e] & ~near[c[v1]] & ~(
+            1 << c[edge_at[v1, z]] | 1 << c[edge_at[v1, v2]] | 1 << c[edge_at[u, v2]])
         _audit_bound(
             self.audit, "c2", (u, v1, v2),
-            {"u": len(pool_u), "edge": len(pool_e)},
+            {"u": pool_u.bit_count(), "edge": pool_e.bit_count()},
             {"u": p + 1, "edge": p},
         )
-        m = min(pool_u | pool_e)
-        if m in pool_e:
+        m = _lowest(pool_u | pool_e)
+        if pool_e >> m & 1:
             c[e] = m
-            c[u] = _least(pool_u - p_ball(m, p))
+            c[u] = _lowest(pool_u & ~near[m])
         else:
             c[u] = m
-            c[e] = _least(pool_e - p_ball(m, p))
+            c[e] = _lowest(pool_e & ~near[m])
 
-    def _c3_pools(self, x, u1, v1, u2, v2):
-        c, p, edge_at = self.c, self.p, self.edge_at
-        pool_u = set(self.lists[u1]) - {c[v1], c[x]} - p_ball(c[edge_at[u1, v1]], p)
-        pool_e = (
-            set(self.lists[edge_at[x, u1]])
-            - {c[edge_at[x, v1]], c[edge_at[u1, v1]], c[edge_at[x, v2]], c[edge_at[x, u2]]}
-            - p_ball(c[x], p)
-        )
-        return pool_u, pool_e
+    def _c3_pair(self, x, u1, v1, u2, v2):
+        """The pools of u1 and the hub edge, and the pair from them at distance
+        >= p with the least u1 color, then the least edge color, or None."""
+        c, near, masks, edge_at = self.c, self.near, self.masks, self.edge_at
+        pool_u = masks[u1] & ~(1 << c[v1] | 1 << c[x]) & ~near[c[edge_at[u1, v1]]]
+        pool_e = masks[edge_at[x, u1]] & ~near[c[x]] & ~(
+            1 << c[edge_at[x, v1]] | 1 << c[edge_at[u1, v1]]
+            | 1 << c[edge_at[x, v2]] | 1 << c[edge_at[x, u2]])
+        rest = pool_u
+        while rest:
+            a = _lowest(rest)
+            if far := pool_e & ~near[a]:
+                return pool_u, pool_e, (a, _lowest(far))
+            rest &= rest - 1
+        return pool_u, pool_e, None
 
     def extend_c3(self, x, u1, v1, u2, v2):
         c, p, edge_at = self.c, self.p, self.edge_at
         self._add_edge(x, u1)
         e = edge_at[x, u1]
         c[u1] = None
-        pool_u, pool_e = self._c3_pools(x, u1, v1, u2, v2)
+        pool_u, pool_e, pair = self._c3_pair(x, u1, v1, u2, v2)
         _audit_bound(
             self.audit, "c3", (x, u1, v1, u2, v2),
-            {"u1": len(pool_u), "edge": len(pool_e)},
+            {"u1": pool_u.bit_count(), "edge": pool_e.bit_count()},
             {"u1": p + 1, "edge": p - 1},
         )
-        pair = _find_pair(pool_u, pool_e, p)
         if pair is not None:
             c[u1], c[e] = pair
             return
@@ -531,8 +539,9 @@ class _Rebuilder:
         e_hub, e_far = edge_at[x, v1], edge_at[u1, v1]
         c[e_hub], c[e_far] = c[e_far], c[e_hub]
         self.audit.interchanges += 1
-        if is_valid(working, p, [c[i] for i in in_g]).ok:
-            pair = _find_pair(*self._c3_pools(x, u1, v1, u2, v2), p)
+        values = self.values
+        if is_valid(working, p, [None if c[i] is None else values[c[i]] for i in in_g]).ok:
+            pair = self._c3_pair(x, u1, v1, u2, v2)[2]
         else:
             c[e_hub], c[e_far] = c[e_far], c[e_hub]
             self.audit.invalid_swaps += 1
@@ -551,7 +560,7 @@ class _Rebuilder:
                 f"outerplanar with Delta={self.g.max_degree}, p={p}: the full "
                 "instance has no list-respecting labelling"
             )
-        self.c = [full.labelling[x] for x in elements_of(self.g)]
+        self.c = [bisect_left(values, full.labelling[x]) for x in elements_of(self.g)]
         self.resolved_whole_graph = True
 
 
@@ -603,4 +612,4 @@ def label_outerplanar_list(
         extend[type(step)](*vars(step).values())
         if rebuilder.resolved_whole_graph:
             break
-    return _checked_output(g, p, rebuilder.c, lists)
+    return _checked_output(g, p, rebuilder.colors(), lists)

@@ -9,6 +9,7 @@ is_valid at the end.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -114,6 +115,24 @@ def p_ball(x: int, p: int) -> set[int]:
     return set(range(x - (p - 1), x + p))
 
 
+def _color_masks(domains, p: int) -> tuple[list[int], list[int], list[int]]:
+    """Encode color sets as int bitmasks: bit i stands for values[i], the
+    sorted union of the colors, so sparse or huge colors cost no wider ints.
+    near[i] masks the colors at distance < p from values[i] (0 at p = 0);
+    masks[j] is domains[j], built by OR so that a repeated color counts once."""
+    values = sorted(set().union(*domains))
+    bit = {c: 1 << i for i, c in enumerate(values)}
+    near = [(1 << bisect_left(values, c + p)) - (1 << bisect_right(values, c - p)) if p else 0
+            for c in values]
+    masks = []
+    for colors in domains:
+        mask = 0
+        for c in colors:
+            mask |= bit[c]
+        masks.append(mask)
+    return values, near, masks
+
+
 @dataclass(frozen=True)
 class Violation:
     family: str  # vertex-vertex | edge-edge | vertex-edge | unlabelled | adjacent | distance-2
@@ -179,13 +198,15 @@ def is_valid(g: Graph, p: int, labelling, total: bool = False) -> ValidationRepo
             continue
         incident[u].append(j)
         incident[v].append(j)
-        close += [Violation("vertex-edge", Vertex(w), Edge(u, v))
-                  for w, cw in ((u, cu), (v, cv)) if cw is not None and abs(cw - ce) < p]
-    # two adjacent edges of a simple graph share exactly one vertex, so every
-    # adjacent pair is visited exactly once here
+        if cu is not None and abs(cu - ce) < p:
+            close.append(Violation("vertex-edge", Vertex(u), Edge(u, v)))
+        if cv is not None and abs(cv - ce) < p:
+            close.append(Violation("vertex-edge", Vertex(v), Edge(u, v)))
+    # two adjacent edges of a simple graph share exactly one vertex, so each
+    # clashing pair is found once, at a vertex whose edges repeat a color
     clash = [Violation("edge-edge", element(a), element(b))
-             for labelled in incident for a, b in combinations(labelled, 2)
-             if colors[a] == colors[b]]
+             for labelled in incident if len({colors[a] for a in labelled}) < len(labelled)
+             for a, b in combinations(labelled, 2) if colors[a] == colors[b]]
     violations = same + clash + close
     if total:
         violations += [Violation("unlabelled", element(i))

@@ -17,12 +17,12 @@ import heapq
 import itertools
 import json
 import time
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import comb
 
 from .graphs import Graph, emit_graph6, parse_graph6
 from .labelling import (
+    _color_masks,
     _edge_positions,
     _json_check,
     _json_colors,
@@ -99,18 +99,7 @@ def _search(domains, cons, p: int, groups):
     that hold no solution. The search runs on an explicit stack, so its depth
     is not bounded by Python's recursion limit.
     """
-    values = sorted(set().union(*domains))
-    bit = {c: 1 << i for i, c in enumerate(values)}
-    # near[i]: the colors at distance < p from the i-th color (none at p = 0)
-    near = [(1 << bisect_left(values, c + p)) - (1 << bisect_right(values, c - p)) if p else 0
-            for c in values]
-    masks = []
-    for colors in domains:
-        mask = 0
-        for c in colors:
-            mask |= bit[c]
-        masks.append(mask)
-    domains = masks
+    values, near, domains = _color_masks(domains, p)
     count = len(domains)
     assigned: list[int | None] = [None] * count
     live = [len(partners) for partners in cons]

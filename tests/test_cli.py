@@ -505,3 +505,39 @@ def test_json_readers_never_raise(tmp_path_factory, command, value):
     assert code in (0, 1, 2)
     if not isinstance(value, dict):
         assert code == 2
+
+
+_PARSER_CALLS = [
+    ["props", "--family", "path", "--p-values", "1", "--size-max", "4", "--trials", "3"],
+    ["hunt", "--conjecture", "general", "--p-values", "x"],  # malformed: exit 2
+    ["hunt", "--conjecture", "general", "--size-max", "3", "--trials", "2", "--budget", "10"],
+    ["props", "--family", "tree", "--size-max", "4", "--trials", "3"],
+    ["hunt", "--conjecture", "general", "--p-values", "1", "3", "--size-max", "3",
+     "--trials", "2", "--budget", "10"],
+    ["hunt", "--conjecture", "general", "--size-max", "3", "--trials", "2", "--budget", "10"],
+]
+
+
+def test_shared_parser_answers_as_a_fresh_one(tmp_path, capsys):
+    out = tmp_path / "report.json"
+
+    def run(argv):
+        out.unlink(missing_ok=True)
+        try:
+            code = main([*argv, "--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, out.read_text() if out.exists() else None
+
+    build_parser.cache_clear()
+    shared = [run(argv) for argv in _PARSER_CALLS]
+    assert build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in _PARSER_CALLS:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [code for code, *_ in shared] == [0, 2, 0, 0, 0, 0]
+    # the default p of a hunt stays 2 after a call that named other values
+    assert shared[2] == shared[5]

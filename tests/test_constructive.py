@@ -149,6 +149,12 @@ def test_tree_dfs_rejects_non_tree():
         label_tree_dfs(cyc, 2, full_lists(cyc, range(9)))
 
 
+def _least(colors):
+    if not colors:
+        raise AssertionError("no color available where the counting bound promised one")
+    return min(colors)
+
+
 def _walk_path(g, p, lists):
     """The former path labeller: an explicit walk from the lower end."""
     if p < 1:
@@ -169,12 +175,12 @@ def _walk_path(g, p, lists):
     lists = check_lists(g, lists, minimum=2 * p + 1)
     edge_at = _edge_positions(g)
     c = [None] * len(lists)
-    c[order[0]] = constructive._least(lists[order[0]])
+    c[order[0]] = _least(lists[order[0]])
     prev_edge = set()
     for u, v in zip(order, order[1:]):
         e = edge_at[u, v]
-        c[e] = constructive._least(set(lists[e]) - p_ball(c[u], p) - prev_edge)
-        c[v] = constructive._least(set(lists[v]) - {c[u]} - p_ball(c[e], p))
+        c[e] = _least(set(lists[e]) - p_ball(c[u], p) - prev_edge)
+        c[v] = _least(set(lists[v]) - {c[u]} - p_ball(c[e], p))
         prev_edge = {c[e]}
     return constructive._checked_output(g, p, c, lists)
 
@@ -190,7 +196,7 @@ def _iterator_stack_dfs(g, p, lists):
     edge_at = _edge_positions(g)
     c = [None] * len(lists)
     edge_colors = [[] for _ in range(g.n)]
-    c[0] = constructive._least(lists[0])
+    c[0] = _least(lists[0])
     stack = [(0, iter(g.adj[0]))]
     seen = {0}
     while stack:
@@ -202,10 +208,10 @@ def _iterator_stack_dfs(g, p, lists):
             seen.add(w)
             e = edge_at[u, w]
             forb = p_ball(c[u], p) | set(edge_colors[u])
-            c[e] = constructive._least(set(lists[e]) - forb)
+            c[e] = _least(set(lists[e]) - forb)
             edge_colors[u].append(c[e])
             edge_colors[w].append(c[e])
-            c[w] = constructive._least(set(lists[w]) - {c[u]} - p_ball(c[e], p))
+            c[w] = _least(set(lists[w]) - {c[u]} - p_ball(c[e], p))
             stack.append((w, iter(g.adj[w])))
             advanced = True
             break
@@ -584,7 +590,7 @@ def test_c3_interchange_tight_case():
     rb = _Rebuilder(g, p, [lists[x] for x in elements], audit, adj,
                     [c.get(x) for x in elements])
     rb.extend_c3(0, 1, 2, 9, 8)
-    labelled = dict(zip(elements, rb.c))
+    labelled = dict(zip(elements, rb.colors()))
     assert audit.interchanges == 1
     assert audit.invalid_swaps == 0
     assert audit.restricted_solves == 0
@@ -608,7 +614,7 @@ def test_c3_fallback_recovers_from_corrupted_state():
     rb = _Rebuilder(g, p, [lists[x] for x in elements], audit, adj,
                     [c.get(x) for x in elements])
     rb.extend_c3(0, 1, 2, 9, 8)
-    labelled = dict(zip(elements, rb.c))
+    labelled = dict(zip(elements, rb.colors()))
     assert audit.interchanges == 1
     assert audit.invalid_swaps == 1
     assert audit.restricted_solves == 1
@@ -754,3 +760,42 @@ def test_outerplanar_p1_fallback_instance_picks_pinned_colors():
     assert _pin([text, json.dumps(audit.steps)]) == "bd6e826aab459173"
     assert (audit.interchanges, audit.invalid_swaps) == (1, 0)
     assert (audit.restricted_solves, audit.full_resolves) == (1, 1)
+
+
+# Lists drawn from colors that are not 0..k-1: shifted, gapped, huge and sparse.
+# The labellers encode each list as a bitmask over the sorted union of the
+# colors, so bit i stands for the i-th color, not for color i; these digests
+# were recorded while the labellers still worked on Python sets.
+_COLOR_UNIVERSES = (
+    lambda span, rng: range(50, 50 + span),
+    lambda span, rng: range(100, 100 + 3 * span, 3),
+    lambda span, rng: [10**9 + 3 * i for i in range(span)],
+    lambda span, rng: sorted(rng.sample(range(10**12), span)),
+)
+
+_PINNED_ENCODING = {
+    "path": "7ec31c1a031e6925",
+    "tree": "835dd5a0529524a9",
+    "outerplanar": "7b3eaaa304858eea",
+}
+
+
+@pytest.mark.parametrize("family", sorted(_PINNED_ENCODING))
+def test_labellers_pick_pinned_colors_from_sparse_lists(family):
+    make, list_size, sizes, label = _PIN_SWEEP[family]
+    texts = []
+    for p in (1, 2, 3):
+        sizes_p = list(sizes(p))
+        for trial in range(16):
+            rng = random.Random(f"encoding:{family}:{p}:{trial}")
+            g = make(sizes_p[trial % len(sizes_p)], p, trial)
+            k = list_size(g, p)
+            colors = list(_COLOR_UNIVERSES[trial % 4](k + 2 * p, rng))
+            lists = {x: set(rng.sample(colors, k)) for x in elements_of(g)}
+            if family == "outerplanar":
+                audit = OuterplanarAudit()
+                texts.append(labelling_to_json(p, label(g, p, lists, audit=audit)))
+                texts.append(json.dumps(vars(audit)))
+            else:
+                texts.append(labelling_to_json(p, label(g, p, lists)))
+    assert _pin(texts) == _PINNED_ENCODING[family]

@@ -1,14 +1,20 @@
 import json
-from itertools import product
+import random
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from plabel.graphs import Graph, incidence_graph, make_path, make_star
+from plabel.constructive import label_tree_dfs
+from plabel.graphs import Graph, incidence_graph, make_path, make_random_tree, make_star
 from plabel.labelling import (
     Edge,
+    ValidationReport,
     Vertex,
+    Violation,
+    _color_masks,
+    _edge_positions,
     check_lists,
     element_from_name,
     element_key,
@@ -101,6 +107,87 @@ def test_is_valid_p0_degenerates_to_proper_colorings():
     }
     # vertex color equals incident edge color: fine at p=0
     assert is_valid(tri, 0, c, total=True).ok
+
+
+def _former_is_valid(g, p, labelling, total=False):
+    """is_valid as it was before its clash scan skipped repeat-free vertices."""
+    if p < 0:
+        raise ValueError("separation p must be non-negative")
+    if isinstance(labelling, list):
+        colors = labelling
+    else:
+        colors = [None] * (g.n + g.m)
+        edge_at = _edge_positions(g)
+        for x, color in labelling.items():
+            if isinstance(x, Vertex) and 0 <= x.v < g.n:
+                colors[x.v] = color
+            elif isinstance(x, Edge) and (x.u, x.v) in edge_at:
+                colors[edge_at[x.u, x.v]] = color
+            else:
+                raise ValueError(f"{x!r} is not an element of the graph with n={g.n}")
+    if len(colors) != g.n + g.m:
+        raise ValueError(f"labelling has {len(colors)} positions for {g.n + g.m} elements")
+    n, edges = g.n, g.sorted_edges()
+    def element(i):
+        return Vertex(i) if i < n else Edge(*edges[i - n])
+    same, close = [], []
+    incident = [[] for _ in range(n)]
+    for j, (u, v) in enumerate(edges, n):
+        cu, cv, ce = colors[u], colors[v], colors[j]
+        if cu is not None and cu == cv:
+            same.append(Violation("vertex-vertex", Vertex(u), Vertex(v)))
+        if ce is None:
+            continue
+        incident[u].append(j)
+        incident[v].append(j)
+        close += [Violation("vertex-edge", Vertex(w), Edge(u, v))
+                  for w, cw in ((u, cu), (v, cv)) if cw is not None and abs(cw - ce) < p]
+    clash = [Violation("edge-edge", element(a), element(b))
+             for labelled in incident for a, b in combinations(labelled, 2)
+             if colors[a] == colors[b]]
+    violations = same + clash + close
+    if total:
+        violations += [Violation("unlabelled", element(i))
+                       for i, color in enumerate(colors) if color is None]
+    return ValidationReport(ok=not violations, violations=tuple(violations))
+
+
+def test_is_valid_matches_the_former_scan():
+    rng = random.Random(14)
+    valid = 0
+    for trial in range(400):
+        p = trial % 4
+        if trial // 4 % 2 and p:
+            # a valid tree labelling, then partly erased or corrupted
+            g = make_random_tree(rng.randint(1, 12), trial)
+            k = max(g.max_degree, 2) + 2 * p - 1
+            colors = list(label_tree_dfs(g, p, full_lists(g, range(k))).values())
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                i = rng.randrange(len(colors))
+                colors[i] = rng.choice((None, rng.randrange(k), colors[rng.randrange(len(colors))]))
+        else:
+            n = rng.randint(1, 8)
+            g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+            colors = [None if rng.random() < 0.2 else rng.randrange(6) for _ in range(n + g.m)]
+        as_dict = {x: c for x, c in zip(elements_of(g), colors) if c is not None}
+        for labelling in (colors, as_dict):
+            for total in (False, True):
+                report = is_valid(g, p, labelling, total=total)
+                assert report == _former_is_valid(g, p, labelling, total=total)
+                valid += report.ok
+    assert valid > 200
+
+
+def test_color_masks_encode_by_rank():
+    values, near, masks = _color_masks([{10**9, 7}, [7, 7, 12], range(5, 8)], 3)
+    assert values == [5, 6, 7, 12, 10**9]
+    # a repeated color is one bit, not a carry into the next
+    assert masks == [0b10100, 0b01100, 0b00111]
+    # distance < 3: 5..7 are mutually near; 12 and 10**9 are near only themselves
+    assert near == [0b00111, 0b00111, 0b00111, 0b01000, 0b10000]
+    assert _color_masks([{3, 4}, {9}], 0) == ([3, 4, 9], [0, 0, 0], [0b011, 0b100])
+    assert _color_masks([{3}, {4}], 1)[1] == [0b01, 0b10]
+    assert _color_masks([], 2) == ([], [], [])
 
 
 def test_is_valid_domain_error():
