@@ -306,18 +306,21 @@ def _scan_configuration(adj: dict, buckets: dict) -> Configuration | None:
     if buckets[1]:
         v = min(buckets[1])
         return Leaf(v, next(iter(adj[v])))
-    twos = sorted(buckets[2])
-    for u in twos:
-        for v in sorted(adj[u]):
+    first_c2 = None
+    for u in sorted(buckets[2]):
+        a, b = adj[u]
+        if a > b:
+            a, b = b, a
+        for v in (a, b):
             if v > u and v in buckets[2]:
                 return C1(u, v)
-    for u in twos:
-        a, b = sorted(adj[u])
-        if b in adj[a]:
+        if first_c2 is None and b in adj[a]:
             if len(adj[a]) == 3:
-                return C2(u, a, b)
-            if len(adj[b]) == 3:
-                return C2(u, b, a)
+                first_c2 = C2(u, a, b)
+            elif len(adj[b]) == 3:
+                first_c2 = C2(u, b, a)
+    if first_c2 is not None:
+        return first_c2
     for x in sorted(buckets[4]):
         pairs = []
         for u in sorted(adj[x]):
@@ -327,7 +330,7 @@ def _scan_configuration(adj: dict, buckets: dict) -> Configuration | None:
             if other in adj[x]:
                 pairs.append((u, other))
         for (u1, v1), (u2, v2) in combinations(pairs, 2):
-            if {u1, v1}.isdisjoint({u2, v2}):
+            if u1 != v2 and v1 != u2 and v1 != v2:  # u1 != u2 already
                 return C3(x, u1, v1, u2, v2)
     return None
 

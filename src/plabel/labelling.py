@@ -119,16 +119,18 @@ def _color_masks(domains, p: int) -> tuple[list[int], list[int], list[int]]:
     """Encode color sets as int bitmasks: bit i stands for values[i], the
     sorted union of the colors, so sparse or huge colors cost no wider ints.
     near[i] masks the colors at distance < p from values[i] (0 at p = 0);
-    masks[j] is domains[j], built by OR so that a repeated color counts once."""
+    masks[j] is domains[j], built by OR so that a repeated color counts once;
+    a domain that is the same object as the one before it reuses its mask."""
     values = sorted(set().union(*domains))
     bit = {c: 1 << i for i, c in enumerate(values)}
     near = [(1 << bisect_left(values, c + p)) - (1 << bisect_right(values, c - p)) if p else 0
             for c in values]
-    masks = []
+    masks, last = [], None
     for colors in domains:
-        mask = 0
-        for c in colors:
-            mask |= bit[c]
+        if colors is not last:
+            last, mask = colors, 0
+            for c in colors:
+                mask |= bit[c]
         masks.append(mask)
     return values, near, masks
 
@@ -305,7 +307,10 @@ def check_lists(g: Graph, lists, minimum: int | None = None) -> list:
     by_position = isinstance(lists, list)
     if by_position and len(lists) != g.n + g.m:
         raise ValueError(f"{len(lists)} lists for the {g.n + g.m} elements of the graph")
-    out = list(lists) if by_position else [lists.get(x) for x in _elements(g)]
+    if by_position or tuple(lists) == _elements(g):  # keyed in element order: no lookups
+        out = list(lists if by_position else lists.values())
+    else:
+        out = [lists.get(x) for x in _elements(g)]
     for i, colors in enumerate(out):
         if not colors or (minimum is not None and len(colors) < minimum):
             x = _elements(g)[i]

@@ -24,6 +24,7 @@ from .graphs import Graph, emit_graph6, parse_graph6
 from .labelling import (
     _color_masks,
     _edge_positions,
+    _elements,
     _json_check,
     _json_colors,
     _json_elements,
@@ -75,17 +76,20 @@ class SolveResult:
         return self.labelling is not None
 
 
-def _search(domains, cons, p: int, groups):
+def _search(domains, neqs, seps, p: int, groups):
     """Backtracking with forward checking; returns (assignment | None, nodes).
 
-    Each domain is kept as an int bitmask over the sorted union of the colors
-    in all domains (bit i is the i-th color), so sparse or huge colors cost no
-    wider ints. Variable order: smallest current domain, ties broken by the
-    number of unassigned constraint partners (more first) and then element
-    order; all deterministic. Value order: ascending color. The degree
-    tie-break matters in practice: without it some dense two-dozen-element
-    instances thrash through millions of nodes. The keys live in a heap that
-    is updated as domains and partners change; stale entries are skipped when
+    Element i's color must differ from those of its inequality partners
+    neqs[i] and lie at least p from those of its separation partners seps[i].
+    Each domain is an int bitmask over the sorted union of the colors in all
+    domains (bit i is the i-th color), so sparse or huge colors cost no wider
+    ints. Variable order: smallest current domain, ties broken by the number
+    of unassigned partners (more first) and then element order; all
+    deterministic. Value order: ascending color. The degree tie-break matters
+    in practice: without it some dense two-dozen-element instances thrash
+    through millions of nodes. A heap holds the keys, each packed into one
+    int that sorts as (size, -unassigned partners, element) would, and gets
+    new ones as domains and partners change; stale entries are skipped when
     they reach the top, and the heap is rebuilt once it holds more than
     4*elements+64 entries, so its memory stays linear.
 
@@ -93,29 +97,13 @@ def _search(domains, cons, p: int, groups):
     distinct colors, each at least p away from the center's. A group fails
     when its members' domains hold fewer colors than it has members, or when
     every candidate color of the center leaves too few of them. Groups are
-    checked before the first node and, after each assignment, those that
-    contain the assigned element. The check removes no value, so it changes
-    neither the order of the search nor its answer; it only cuts subtrees
-    that hold no solution. The search runs on an explicit stack, so its depth
-    is not bounded by Python's recursion limit.
+    checked before anything else is built and, after each assignment, those
+    that contain the assigned element. The check removes no value, so it
+    changes neither the order of the search nor its answer; it only cuts
+    subtrees that hold no solution. The search runs on an explicit stack, so
+    its depth is not bounded by Python's recursion limit.
     """
     values, near, domains = _color_masks(domains, p)
-    count = len(domains)
-    assigned: list[int | None] = [None] * count
-    live = [len(partners) for partners in cons]
-    heap = [(domains[i].bit_count(), -live[i], i) for i in range(count)]
-    heapq.heapify(heap)
-    heap_cap = 4 * count + 64
-    # a one-member group can fail only at the root: once either end is
-    # placed, forward checking has left the other end only compatible colors
-    groups_of: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(count)]
-    for group in groups:
-        center, members = group
-        if len(members) > 1:
-            groups_of[center].append(group)
-            for j in members:
-                groups_of[j].append(group)
-
     ball = 2 * p - 1  # colors in the open p-ball around a center color
 
     def fails(center: int, members: tuple[int, ...]) -> bool:
@@ -135,111 +123,129 @@ def _search(domains, cons, p: int, groups):
             rest ^= low
         return True
 
-    def place(i: int, low: int):
-        """Assign i the color of bit low and prune its unassigned partners;
-        returns (ok, trail), the trail holding each changed domain's prior
-        mask. Once a partner's domain is empty, the rest are only counted."""
-        at = low.bit_length() - 1
-        assigned[i] = values[at]
-        trail = [(i, domains[i])]
-        domains[i] = low
-        apart, other = ~near[at], ~low
-        ok = True
-        for j, sep in cons[i]:
-            live[j] -= 1
-            if not ok or assigned[j] is not None:
-                continue
-            dom = domains[j]
-            kept = dom & (apart if sep else other)
-            if kept != dom:
-                trail.append((j, dom))
-                domains[j] = kept
-                ok = kept != 0
-        return ok, trail
-
-    def unplace(i: int, trail) -> None:
-        for j, dom in trail:
-            domains[j] = dom
-        for j, _ in cons[i]:
-            live[j] += 1
-        assigned[i] = None
-
-    def push_keys(i: int) -> None:
-        for j, _ in cons[i]:
-            if assigned[j] is None:
-                heapq.heappush(heap, (domains[j].bit_count(), -live[j], j))
-
-    def select() -> int:
-        nonlocal heap
-        if len(heap) > heap_cap:
-            heap = [(domains[i].bit_count(), -live[i], i)
-                    for i in range(count) if assigned[i] is None]
-            heapq.heapify(heap)
-        while heap:
-            size, neg_live, i = heap[0]
-            if assigned[i] is None and size == domains[i].bit_count() and -neg_live == live[i]:
-                return i
-            heapq.heappop(heap)
-        return -1
-
     for center, members in groups:
         if fails(center, members):
             return None, 0
-    first = select()
-    if first < 0:
+    count = len(domains)
+    if not count:
         return [], 0
+    assigned: list[int | None] = [None] * count
+    live = [len(a) + len(b) for a, b in zip(neqs, seps)]
+    # key = size << sb | (top - live) << ib | i orders as (size, -live, i) does
+    ib = count.bit_length()
+    top = max(live)
+    sb, imask = ib + top.bit_length(), (1 << ib) - 1
+    heap = [domains[i].bit_count() << sb | (top - live[i]) << ib | i for i in range(count)]
+    heapq.heapify(heap)
+    heap_cap, heappush = 4 * count + 64, heapq.heappush
+    # a one-member group can fail only at the root: once either end is
+    # placed, forward checking has left the other end only compatible colors
+    groups_of: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(count)]
+    for group in groups:
+        center, members = group
+        if len(members) > 1:
+            groups_of[center].append(group)
+            for j in members:
+                groups_of[j].append(group)
+
     nodes = 0
+    first = heap[0] & imask
     # frame: [element, its untried colors as a mask, trail of the color whose
-    # subtree is being searched, or None before the first color]
+    # subtree is being searched (each changed domain's prior mask), or None
+    # before the first color]
     stack = [[first, domains[first], None]]
     while stack:
         frame = stack[-1]
         var, rest, trail = frame
-        if trail is not None:  # back from the subtree under the last color
-            unplace(var, trail)
-            push_keys(var)
-            heapq.heappush(heap, (domains[var].bit_count(), -live[var], var))
-        while rest:
+        while True:
+            if trail is not None:  # take back the last color: it failed, or its subtree did
+                for j, dom in trail:
+                    domains[j] = dom
+                for j in neqs[var]:
+                    live[j] += 1
+                for j in seps[var]:
+                    live[j] += 1
+                assigned[var] = None
+                trail = None
+            if not rest:
+                break
             low = rest & -rest
             rest ^= low
             nodes += 1
-            ok, trail = place(var, low)
+            # place var at the color of bit low and prune its unassigned
+            # partners; once a domain is empty the rest are only counted
+            at = low.bit_length() - 1
+            assigned[var] = values[at]
+            trail = [(var, domains[var])]
+            domains[var] = low
+            ok = True
+            other = ~low
+            for j in neqs[var]:
+                live[j] -= 1
+                if ok and assigned[j] is None:
+                    dom = domains[j]
+                    kept = dom & other
+                    if kept != dom:
+                        trail.append((j, dom))
+                        domains[j] = kept
+                        ok = kept != 0
+            apart = ~near[at]
+            for j in seps[var]:
+                live[j] -= 1
+                if ok and assigned[j] is None:
+                    dom = domains[j]
+                    kept = dom & apart
+                    if kept != dom:
+                        trail.append((j, dom))
+                        domains[j] = kept
+                        ok = kept != 0
             if ok:
                 for center, members in groups_of[var]:
                     if fails(center, members):
                         break
                 else:
                     break
-            unplace(var, trail)
-        else:
+        # the keys that changed: var's partners' and, once it is unplaced, var's
+        for partners in (neqs[var], seps[var], (var,)):
+            for j in partners:
+                if assigned[j] is None:
+                    heappush(heap, domains[j].bit_count() << sb | (top - live[j]) << ib | j)
+        if trail is None:  # no color of var is left
             stack.pop()
             continue
         frame[1:] = rest, trail
-        push_keys(var)
-        nxt = select()
-        if nxt < 0:
+        if len(heap) > heap_cap:
+            heap = [domains[i].bit_count() << sb | (top - live[i]) << ib | i
+                    for i in range(count) if assigned[i] is None]
+            heapq.heapify(heap)
+        while heap:
+            key = heap[0]
+            i = key & imask
+            if assigned[i] is None and key == (
+                    domains[i].bit_count() << sb | (top - live[i]) << ib | i):
+                break
+            heapq.heappop(heap)
+        else:
             return list(assigned), nodes
-        stack.append([nxt, domains[nxt], None])
+        stack.append([i, domains[i], None])
     return None, nodes
 
 
 def _lp1_model(g: Graph, p: int):
-    """The partners and groups of g's vertex labelling, built in one pass.
+    """The (neqs, seps, groups) of g's vertex labelling, built in one pass.
 
-    Per vertex of g, its partners are (other_vertex, needs_separation) pairs.
-    needs_separation=True means |colors| >= p (adjacent vertices); False means
-    plain inequality (vertices at distance exactly two). Distance-two pairs
-    are linked first, through each common neighbour in turn, so each partner
-    list holds its inequality pairs before its separation pairs. The order
-    does not change the search; the reverse order visits the same nodes,
-    about 1% slower.
+    neqs[v] holds the vertices at distance exactly two from v, which must
+    take colors other than v's, linked through each common neighbour in
+    turn; seps[v] is g.adj[v], the vertices whose colors must lie at least p
+    from v's. Which kind the search prunes first changes neither its nodes
+    nor its answer.
 
     The groups are the (w, N(w)) pairs whose members must take pairwise
     distinct colors. Two neighbours of w are at distance two, or adjacent and
     so at least p >= 1 apart. At p = 0 adjacent neighbours may share a color,
     so a neighbourhood that holds an edge is left out.
     """
-    cons: list[list[tuple[int, bool]]] = [[] for _ in range(g.n)]
+    neqs: list[list[int]] = [[] for _ in range(g.n)]
     seen = [{v, *members} for v, members in enumerate(g.adj)]  # linked or adjacent
     groups = []
     for w, members in enumerate(g.adj):
@@ -247,44 +253,43 @@ def _lp1_model(g: Graph, p: int):
             if b not in seen[a]:
                 seen[a].add(b)
                 seen[b].add(a)
-                cons[a].append((b, False))
-                cons[b].append((a, False))
+                neqs[a].append(b)
+                neqs[b].append(a)
         if members and (p > 0 or not any(
                 g.has_edge(a, b) for a, b in itertools.combinations(members, 2))):
             groups.append((w, members))
-    for partners, members in zip(cons, g.adj):
-        partners.extend((v, True) for v in members)
-    return cons, groups
+    return neqs, g.adj, groups
 
 
 @functools.lru_cache(maxsize=1)
 def _total_model(g: Graph):
-    """_lp1_model of the once-subdivided graph, as tuples, read off g: the
-    edges at a vertex and the ends of an edge are at distance two, a vertex
-    and its edges adjacent. No two neighbours are adjacent, so no pair
-    repeats and no group depends on p. The model is kept for the next call
-    on an equal graph."""
+    """_lp1_model of the once-subdivided graph, as tuples, read off g. A
+    vertex w must differ from its neighbours (neqs[w] is g.adj[w]) and be p
+    away from its edges (seps[w]); an edge j = (u, v) must differ from the
+    other edges at u, then those at v, and be p away from (u, v). No two
+    neighbours are adjacent, so no pair repeats and no group depends on p.
+    The model is kept for the next call on an equal graph."""
     n, edges = g.n, g.sorted_edges()
     at: list[list[int]] = [[] for _ in range(n)]
     for j, (u, v) in enumerate(edges, n):
         at[u].append(j)
         at[v].append(j)
-    pairs = [(a, b, False) for ends in at for a, b in itertools.combinations(ends, 2)]
-    pairs += [(u, v, False) for u, v in edges]
-    pairs += [(w, j, True) for w, ends in enumerate(at) for j in ends]
-    cons: list[list[tuple[int, bool]]] = [[] for _ in range(n + len(edges))]
-    for a, b, sep in pairs:
-        cons[a].append((b, sep))
-        cons[b].append((a, sep))
-    groups = [(w, tuple(ends)) for w, ends in enumerate(at) if ends] + list(enumerate(edges, n))
-    return tuple(map(tuple, cons)), tuple(groups)
+    neqs = [*g.adj]
+    for j, (u, v) in enumerate(edges, n):
+        others = at[u] + at[v]  # the other edges at u, then those at v
+        others.remove(j)
+        others.remove(j)
+        neqs.append(tuple(others))
+    seps = (*map(tuple, at), *edges)
+    groups = [(w, ends) for w, ends in enumerate(seps[:n]) if ends] + list(enumerate(edges, n))
+    return tuple(neqs), seps, tuple(groups)
 
 
-def _solve(cons, groups, p: int, domains):
-    """Vertex labelling from the domains under the partners cons and the
-    groups. Returns (assignment | None, nodes, seconds)."""
+def _solve(neqs, seps, groups, p: int, domains):
+    """Vertex labelling from the domains under the partners neqs and seps
+    and the groups. Returns (assignment | None, nodes, seconds)."""
     start = time.monotonic()
-    assignment, nodes = _search(domains, cons, p, groups)
+    assignment, nodes = _search(domains, neqs, seps, p, groups)
     return assignment, nodes, time.monotonic() - start
 
 
@@ -308,7 +313,7 @@ def solve_list(g: Graph, p: int, lists) -> SolveResult:
     report = is_valid(g, p, assignment, total=True)
     if not report.ok or any(color not in colors for color, colors in zip(assignment, given)):
         raise AssertionError(f"solver produced an invalid labelling: {report.violations}")
-    return SolveResult(dict(zip(elements_of(g), assignment)), nodes, seconds)
+    return SolveResult(dict(zip(_elements(g), assignment)), nodes, seconds)
 
 
 def solve_span(g: Graph, p: int, k: int) -> SolveResult:

@@ -188,6 +188,11 @@ def test_color_masks_encode_by_rank():
     assert _color_masks([{3, 4}, {9}], 0) == ([3, 4, 9], [0, 0, 0], [0b011, 0b100])
     assert _color_masks([{3}, {4}], 1)[1] == [0b01, 0b10]
     assert _color_masks([], 2) == ([], [], [])
+    # one object repeated reuses its mask; equal copies build the same masks
+    span = range(3, 6)
+    assert _color_masks([span, span, {9}, span], 2) == _color_masks(
+        [range(3, 6), range(3, 6), {9}, range(3, 6)], 2)
+    assert _color_masks([span, span, {9}, span], 2)[2] == [0b0111, 0b0111, 0b1000, 0b0111]
 
 
 def test_is_valid_domain_error():
@@ -408,6 +413,33 @@ def test_check_lists_names_the_first_bad_element(bad, message):
 
 def _expected_elements(g):
     return [*map(Vertex, range(g.n)), *(Edge(u, v) for u, v in sorted(g.edges))]
+
+
+@pytest.mark.parametrize("changes, foreign", [
+    ({}, False), ({2: None}, False), ({2: set()}, False), ({4: {7}}, False),
+    ({1: {7}, 3: set()}, False), ({}, True), ({0: set()}, True),
+])
+def test_check_lists_reads_every_key_order_alike(changes, foreign):
+    # keys in element order take the path without lookups; reversed keys
+    # and fresh, equal elements take the lookups, with the same outcome
+    g = make_star(2)
+    colors = [{i, i + 1, i + 2} for i in range(g.n + g.m)]
+    for i, changed in changes.items():
+        colors[i] = changed
+    by_element = dict(zip(elements_of(g), colors))
+    outcomes = []
+    for keys in (elements_of(g), _expected_elements(g), elements_of(g)[::-1]):
+        lists = {x: by_element[x] for x in keys}
+        if foreign:
+            lists[Vertex(9)] = {0}
+        try:
+            got = check_lists(g, lists, minimum=2)
+            assert all(a is b for a, b in zip(got, colors))
+            outcomes.append(got)
+        except ValueError as error:
+            outcomes.append(str(error))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert (outcomes[0] == colors) == (not changes and not foreign)
 
 
 def test_elements_of_returns_a_fresh_list_each_call():

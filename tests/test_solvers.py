@@ -37,6 +37,7 @@ from plabel.solvers import (
     solve_span,
 )
 
+from .frozen_search import tuple_keyed_search
 from .oracle import naive_solve, to_naive_lists
 
 
@@ -340,6 +341,11 @@ def test_path3_choosability_settled_by_witness_search():
     assert min_span(g, 2) == 4
 
 
+def _pairs(neqs, seps):
+    """The (partner, needs_separation) lists of a model's partner lists."""
+    return [[(j, False) for j in a] + [(j, True) for j in b] for a, b in zip(neqs, seps)]
+
+
 def _rescanning_search(domains, cons, p):
     """Reference for the search order: recursive, rescanning every element
     for the smallest (domain size, -unassigned partners, index) at each node."""
@@ -387,9 +393,10 @@ def test_search_order_matches_rescanning_reference(g, p, k):
     # without groups the heap-kept order must visit exactly the reference's
     # nodes, backtracking included, and return the same answer
     derived = incidence_graph(g).derived
-    cons, _ = _lp1_model(derived, p)
-    mine = _search([set(range(k + 1)) for _ in range(derived.n)], cons, p, [])
-    assert mine == _rescanning_search([set(range(k + 1)) for _ in range(derived.n)], cons, p)
+    neqs, seps, _ = _lp1_model(derived, p)
+    mine = _search([set(range(k + 1)) for _ in range(derived.n)], neqs, seps, p, [])
+    assert mine == _rescanning_search(
+        [set(range(k + 1)) for _ in range(derived.n)], _pairs(neqs, seps), p)
 
 
 def test_search_order_matches_rescanning_reference_on_random_lists():
@@ -405,9 +412,10 @@ def test_search_order_matches_rescanning_reference_on_random_lists():
         pool = sorted(rng.sample(range(low, low + 3 * width), width))
         lists = [set(rng.sample(pool, rng.randrange(1, width + 1))) for _ in range(g.n + g.m)]
         derived = incidence_graph(g).derived
-        cons, _ = _lp1_model(derived, p)
-        mine = _search([set(colors) for colors in lists], cons, p, [])
-        assert mine == _rescanning_search([set(colors) for colors in lists], cons, p), (g, p, lists)
+        neqs, seps, _ = _lp1_model(derived, p)
+        mine = _search([set(colors) for colors in lists], neqs, seps, p, [])
+        assert mine == _rescanning_search(
+            [set(colors) for colors in lists], _pairs(neqs, seps), p), (g, p, lists)
         outcomes["refuted" if mine[0] is None else "labelled"] += 1
     assert min(outcomes.values()) >= 40, outcomes
 
@@ -431,10 +439,10 @@ def test_total_model_matches_the_subdivided_graph():
     graphs += [make_random_maximal_outerplanar(n, seed) for n in (3, 6, 12) for seed in range(3)]
     for g in graphs:
         derived = incidence_graph(g).derived
-        cons, groups = _total_model(g)
+        neqs, seps, groups = _total_model(g)
         for p in range(4):
-            partners, lp1_groups = _lp1_model(derived, p)
-            assert [list(x) for x in cons] == partners, (g, p)
+            lp1_neqs, lp1_seps, lp1_groups = _lp1_model(derived, p)
+            assert _pairs(neqs, seps) == _pairs(lp1_neqs, lp1_seps), (g, p)
             assert list(groups) == lp1_groups, (g, p)
 
 
@@ -452,7 +460,8 @@ def test_lp1_model_links_adjacent_and_distance_two_pairs():
         graphs.append(Graph(n, rng.sample(pairs, rng.randrange(len(pairs) + 1))))
     for g in graphs:
         for p in range(3):
-            cons, groups = _lp1_model(g, p)
+            neqs, seps, groups = _lp1_model(g, p)
+            cons = _pairs(neqs, seps)
             for v in range(g.n):
                 near = set(g.adj[v])
                 far = {w for u in near for w in g.adj[u]} - near - {v}
@@ -602,3 +611,89 @@ def test_witness_search_memory_does_not_grow_with_the_universe():
         tracemalloc.stop()
     assert (cert.kind, cert.checked) == ("exhausted", 5)
     assert peak < 1_000_000
+
+
+def _frozen_instance(rng):
+    """A seeded tree, maximal outerplanar or random graph with domains: a
+    span range shared by every element, or lists of sparse, shifted or huge
+    colors around the degree bound."""
+    family = rng.randrange(3)
+    if family == 0:
+        g = make_random_tree(rng.randrange(1, 13), rng.randrange(10**6))
+    elif family == 1:
+        g = make_random_maximal_outerplanar(rng.randrange(3, 9), rng.randrange(10**6))
+    else:
+        n = rng.randrange(1, 7)
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph(n, rng.sample(pairs, rng.randrange(len(pairs) + 1)))
+    p = rng.randrange(4)
+    width = max(1, g.max_degree + p + rng.randrange(-2, 2))
+    if rng.random() < 0.4:
+        return g, p, [range(width)] * (g.n + g.m)
+    low = rng.choice([0, 3, 100, 10**9, 2**70])
+    pool = sorted(rng.sample(range(low, low + 3 * width), width))
+    size = rng.randrange(max(1, width - 2), width + 1)
+    return g, p, [set(rng.sample(pool, size)) for _ in range(g.n + g.m)]
+
+
+def test_search_matches_the_tuple_keyed_search():
+    # the split partner lists and packed heap keys must visit exactly the
+    # nodes of the former search, groups included, and give its answers
+    rng = random.Random(15)
+    outcomes = {"labelled": 0, "root": 0, "searched": 0}
+    for _ in range(2000):
+        g, p, domains = _frozen_instance(rng)
+        neqs, seps, groups = _total_model(g)
+        mine = _search(domains, neqs, seps, p, groups)
+        assert mine == tuple_keyed_search(domains, _pairs(neqs, seps), p, groups), (g, p, domains)
+        if mine[0] is not None:
+            outcomes["labelled"] += 1
+        else:
+            outcomes["root" if mine[1] == 0 else "searched"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_search_matches_the_tuple_keyed_search_on_vertex_labellings():
+    rng = random.Random(16)
+    for _ in range(300):
+        g, p, _ = _frozen_instance(rng)
+        k = rng.randrange(max(1, p + g.max_degree - 2), p + g.max_degree + 2)
+        neqs, seps, groups = _lp1_model(g, p)
+        domains = [range(k)] * g.n
+        mine = _search(domains, neqs, seps, p, groups)
+        assert mine == tuple_keyed_search(domains, _pairs(neqs, seps), p, groups), (g, p, k)
+
+
+_C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+_C8 = Graph(8, [(i, (i + 1) % 8) for i in range(8)])
+
+
+@pytest.mark.parametrize("g,p,k,expected", [
+    (Graph(0), 2, 3, ([], 0)),
+    (Graph(1), 0, 0, ([0], 1)),
+    (Graph(1), 3, 2, ([0], 1)),
+    # 4, 8 and 16 elements: the index field is exactly full
+    (Graph(3, [(0, 1)]), 0, 1, ([0, 1, 0, 0], 4)),
+    (_C4, 0, 2, ([0, 1, 0, 1, 0, 1, 1, 0], 8)),
+    (_C4, 2, 4, ([0, 4, 2, 1, 2, 3, 0, 4], 9)),
+    (_C8, 1, 2, (None, 81)),  # C8 is not totally 3-colorable
+    (_C8, 3, 4, (None, 9)),
+    (_C8, 3, 5, ([0, 1, 0, 1, 0, 1, 0, 1, 4, 5, 5, 4, 5, 4, 5, 4], 20)),
+])
+def test_packed_keys_at_the_edges(g, p, k, expected):
+    neqs, seps, groups = _total_model(g)
+    domains = [range(k + 1)] * (g.n + g.m)
+    mine = _search(domains, neqs, seps, p, groups)
+    assert mine == tuple_keyed_search(domains, _pairs(neqs, seps), p, groups)
+    assert mine == expected
+
+
+@pytest.mark.parametrize("n,p,k", [(1, 0, 0), (2, 0, 0), (4, 1, 2), (8, 0, 1), (16, 2, 4)])
+def test_packed_keys_on_vertex_labellings(n, p, k):
+    # paths of a power-of-two vertex count, and a star whose largest partner
+    # count (3) fills its field
+    for g in (make_path(n), make_star(3)):
+        neqs, seps, groups = _lp1_model(g, p)
+        domains = [range(k + 1)] * g.n
+        assert _search(domains, neqs, seps, p, groups) == tuple_keyed_search(
+            domains, _pairs(neqs, seps), p, groups)
