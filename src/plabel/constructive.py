@@ -12,8 +12,8 @@ valid list-respecting (p,1)-total labelling deterministically:
 
 Inside, every routine reads the lists and colors by element position (vertex
 v at v, the j-th sorted edge at n+j) and builds the element dict on return.
-The path, tree and outerplanar routines work on bitmask lists, the encoding
-of the exact search: bit i stands for the i-th color of the lists' union.
+All four routines work on bitmask lists, the encoding of the exact search:
+bit i stands for the i-th color of the lists' union.
 Every returned labelling is re-validated unconditionally. A failure of a
 guarantee that the underlying mathematics rules out raises
 TheoremViolation, which is a reportable research event rather than an
@@ -28,14 +28,13 @@ from itertools import combinations
 
 from .graphs import Graph, make_star
 from .labelling import (
+    _checked_labelling,
     _color_masks,
     _edge_positions,
-    _elements,
     check_lists,
     element_name,
     elements_of,
     is_valid,
-    p_ball,
 )
 from .solvers import solve_list, solve_span
 
@@ -58,16 +57,6 @@ __all__ = [
 
 class TheoremViolation(RuntimeError):
     """A list-size guarantee failed at runtime; carries reproduction data."""
-
-
-def _checked_output(g: Graph, p: int, c: list, lists: list | None = None) -> dict:
-    """Re-validate a labelling by position and return it keyed by element."""
-    report = is_valid(g, p, c, total=True)
-    if not report.ok:
-        raise AssertionError(f"constructed labelling is invalid: {report.violations[:4]}")
-    if lists is not None and any(color not in lst for color, lst in zip(c, lists)):
-        raise AssertionError("constructed labelling leaves its lists")
-    return dict(zip(_elements(g), c))
 
 
 def _lowest(mask: int) -> int:
@@ -124,7 +113,7 @@ def label_path_greedy(g: Graph, p: int, lists: dict) -> dict:
         raise ValueError("graph is not a path")
     lists = check_lists(g, lists, minimum=2 * p + 1)
     end = next(v for v in range(g.n) if g.degree(v) <= 1)
-    return _checked_output(g, p, _greedy_from(g, p, lists, end), lists)
+    return _checked_labelling(g, p, _greedy_from(g, p, lists, end), lists)
 
 
 def label_tree_dfs(g: Graph, p: int, lists: dict) -> dict:
@@ -144,7 +133,7 @@ def label_tree_dfs(g: Graph, p: int, lists: dict) -> dict:
     # one-edge tree
     need = 1 if g.m == 0 else max(g.max_degree, 2) + 2 * p - 1
     lists = check_lists(g, lists, minimum=need)
-    return _checked_output(g, p, _greedy_from(g, p, lists, 0), lists)
+    return _checked_labelling(g, p, _greedy_from(g, p, lists, 0), lists)
 
 
 # --- stars --------------------------------------------------------------------
@@ -158,36 +147,38 @@ def _star_shape(g: Graph) -> tuple[int, list[int]]:
     return center, leaves
 
 
-def _protected_edge_coloring(order: list[int], avail: dict, n: int) -> dict | None:
+def _protected_edge_coloring(remaining: dict, n: int) -> dict | None:
     """Greedy minimum-color edge coloring that shields one slack-rich edge.
 
-    Repeatedly takes the global minimum m of the uncolored lists and gives it
-    to an edge other than the protected one whenever some other edge holds m;
-    when the protected edge is forced, protection moves to an uncolored edge
-    that still has at least n-i colors. Returns None if stranded.
+    remaining maps each edge, in order, to the mask of its colors. Repeatedly
+    takes the global minimum m of the uncolored masks and gives it to an edge
+    other than the protected one whenever some other edge holds m; when the
+    protected edge is forced, protection moves to an uncolored edge that
+    still has at least n-i colors. Returns the rank of each edge's color, or
+    None if stranded (also when no edge has n colors to start with).
     """
-    remaining = {e: set(avail[e]) for e in order}
-    uncolored = list(order)
-    protected = next((e for e in order if len(remaining[e]) >= n), None)
+    uncolored = list(remaining)
+    protected = next((e for e in uncolored if remaining[e].bit_count() >= n), None)
     if protected is None:
         return None
     colors: dict = {}
     for i in range(1, n + 1):
-        union = set().union(*(remaining[e] for e in uncolored))
+        union = 0
+        for e in uncolored:
+            union |= remaining[e]
         if not union:
             return None
-        m = min(union)
-        holders = [e for e in uncolored if m in remaining[e]]
-        others = [e for e in holders if e != protected]
-        chosen = others[0] if others else holders[0]
-        colors[chosen] = m
+        low = union & -union
+        # the protected edge holds low when no other uncolored edge does
+        chosen = next((e for e in uncolored if remaining[e] & low and e != protected), protected)
+        colors[chosen] = low.bit_length() - 1
         uncolored.remove(chosen)
         if i == n:
             break
         for e in uncolored:
-            remaining[e].discard(m)
+            remaining[e] &= ~low
         if chosen == protected:
-            fresh = [e for e in uncolored if len(remaining[e]) >= n - i]
+            fresh = [e for e in uncolored if remaining[e].bit_count() >= n - i]
             if not fresh:
                 return None
             protected = fresh[0]
@@ -200,8 +191,8 @@ def label_star_list(g: Graph, p: int, lists: dict) -> dict:
     Tries center colors in ascending list order. For each candidate alpha the
     edge lists lose the ball of alpha; as long as some reduced edge list
     keeps n colors, the protected-edge coloring places all edges and every
-    leaf still has a color left. If every center color fails, something
-    impossible happened and TheoremViolation is raised.
+    leaf, which loses at most 2p colors, still has one left. If every center
+    color fails, something impossible happened and TheoremViolation is raised.
     """
     if p < 2:
         raise ValueError("the star routine needs p >= 2")
@@ -210,26 +201,22 @@ def label_star_list(g: Graph, p: int, lists: dict) -> dict:
     if n < 3:
         raise ValueError("the star routine needs at least 3 leaves")
     lists = check_lists(g, lists, minimum=n + 2 * p - 1)
+    values, near, masks = _color_masks(lists, p)
     edge_at = _edge_positions(g)
     order = [edge_at[center, v] for v in leaves]
-    for alpha in sorted(lists[center]):
-        reduced = {e: set(lists[e]) - p_ball(alpha, p) for e in order}
-        if not any(len(reduced[e]) >= n for e in order):
-            continue
-        edge_colors = _protected_edge_coloring(order, reduced, n)
+    rest = masks[center]
+    while rest:
+        alpha = _lowest(rest)
+        rest &= rest - 1
+        edge_colors = _protected_edge_coloring({e: masks[e] & ~near[alpha] for e in order}, n)
         if edge_colors is None:
             continue
         c: list = [None] * len(lists)
         c[center] = alpha
-        for e, color in edge_colors.items():
-            c[e] = color
         for v, e in zip(leaves, order):
-            pool = set(lists[v]) - {alpha} - p_ball(c[e], p)
-            if not pool:
-                break
-            c[v] = min(pool)
-        else:
-            return _checked_output(g, p, c, lists)
+            r = c[e] = edge_colors[e]
+            c[v] = _lowest(masks[v] & ~(1 << alpha) & ~near[r])
+        return _checked_labelling(g, p, [values[r] for r in c], lists)
     raise TheoremViolation(
         f"star with {n} leaves and p={p}: no center color admitted the "
         "protected-edge coloring; lists="
@@ -256,7 +243,7 @@ def label_star_span(n: int, p: int) -> dict:
         if not result.labelled:
             raise TheoremViolation(f"star with {n} leaves, p={p}: range n+p+1 infeasible")
         c = [result.labelling[x] + 1 for x in elements_of(g)]
-    return _checked_output(g, p, c)
+    return _checked_labelling(g, p, c)
 
 
 # --- outerplanar graphs ---------------------------------------------------------
@@ -371,21 +358,16 @@ class OuterplanarAudit:
     """Trace of one outerplanar labelling run.
 
     steps records each reduction with its reduced-list sizes; the counters
-    track the rare repair paths of the degree-4 hub case. restricted_solves
+    track the rare repair paths of the degree-4 hub case. full_resolves
     counts the C3 steps left with no pair after the interchange, each of which
-    goes on to a full re-solve (full_resolves); reaching one is treated as a
-    research event by the experiment harness.
+    re-solves the whole instance; reaching one is treated as a research event
+    by the experiment harness.
     """
 
     steps: list = field(default_factory=list)
     interchanges: int = 0
     invalid_swaps: int = 0
-    restricted_solves: int = 0
     full_resolves: int = 0
-
-    @property
-    def fallbacks(self) -> int:
-        return self.restricted_solves + self.full_resolves
 
 
 def _audit_bound(
@@ -555,7 +537,6 @@ class _Rebuilder:
         # see exactly these two pools, so a solve of just those two would fail
         # as well. Re-solve the whole instance; a failure here would contradict
         # the list-size guarantee
-        self.audit.restricted_solves += 1
         self.audit.full_resolves += 1
         full = solve_list(self.g, p, self.lists)
         if not full.labelled:
@@ -615,4 +596,4 @@ def label_outerplanar_list(
         extend[type(step)](*vars(step).values())
         if rebuilder.resolved_whole_graph:
             break
-    return _checked_output(g, p, rebuilder.colors(), lists)
+    return _checked_labelling(g, p, rebuilder.colors(), lists)

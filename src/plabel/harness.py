@@ -339,7 +339,7 @@ def run_property_suite(spec: ExperimentSpec) -> Report:
             except (AssertionError, TheoremViolation) as exc:
                 failures += 1
                 violations += isinstance(exc, TheoremViolation)
-                report.add_row(inst, spec.family, g.n, p, k, "failed", fallbacks=audit.fallbacks)
+                report.add_row(inst, spec.family, g.n, p, k, "failed", fallbacks=audit.full_resolves)
                 report.check(f"{spec.family}-labelling", inst, "labelled",
                              f"{type(exc).__name__}: {exc}",
                              certificate=_counterexample(g, p, lists))
@@ -347,7 +347,7 @@ def run_property_suite(spec: ExperimentSpec) -> Report:
             full_resolves += audit.full_resolves
             colors = labelling.values()
             report.add_row(inst, spec.family, g.n, p, k, "labelled", max(colors) - min(colors),
-                           fallbacks=audit.fallbacks)
+                           fallbacks=audit.full_resolves)
             if trial % _CROSS_CHECK_EVERY == 0 and g.n + g.m <= 12:
                 if not solve_list(g, p, lists).labelled:
                     report.check(f"{spec.family}-solver-agreement", inst, "labelable",

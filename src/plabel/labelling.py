@@ -120,8 +120,10 @@ def _color_masks(domains, p: int) -> tuple[list[int], list[int], list[int]]:
     sorted union of the colors, so sparse or huge colors cost no wider ints.
     near[i] masks the colors at distance < p from values[i] (0 at p = 0);
     masks[j] is domains[j], built by OR so that a repeated color counts once;
-    a domain that is the same object as the one before it reuses its mask."""
-    values = sorted(set().union(*domains))
+    a domain that is the same object as the one before it reuses its mask
+    and adds nothing to the union."""
+    values = sorted(set().union(*(d for d, before in zip(domains, [None, *domains])
+                                  if d is not before)))
     bit = {c: 1 << i for i, c in enumerate(values)}
     near = [(1 << bisect_left(values, c + p)) - (1 << bisect_right(values, c - p)) if p else 0
             for c in values]
@@ -214,6 +216,17 @@ def is_valid(g: Graph, p: int, labelling, total: bool = False) -> ValidationRepo
         violations += [Violation("unlabelled", element(i))
                        for i, color in enumerate(colors) if color is None]
     return ValidationReport(ok=not violations, violations=tuple(violations))
+
+
+def _checked_labelling(g: Graph, p: int, c: list, lists: list | None = None) -> dict:
+    """Re-validate a total labelling by position, and its colors against the
+    lists by position when given; return it keyed by element."""
+    report = is_valid(g, p, c, total=True)
+    if not report.ok:
+        raise AssertionError(f"returned labelling is invalid: {report.violations[:4]}")
+    if lists is not None and any(color not in lst for color, lst in zip(c, lists)):
+        raise AssertionError("returned labelling leaves its lists")
+    return dict(zip(_elements(g), c))
 
 
 def respects_lists(labelling: dict, lists: dict) -> bool:

@@ -22,9 +22,9 @@ from math import comb
 
 from .graphs import Graph, emit_graph6, parse_graph6
 from .labelling import (
+    _checked_labelling,
     _color_masks,
     _edge_positions,
-    _elements,
     _json_check,
     _json_colors,
     _json_elements,
@@ -33,7 +33,6 @@ from .labelling import (
     element_key,
     element_name,
     elements_of,
-    is_valid,
     lp1_is_valid,
 )
 
@@ -310,10 +309,7 @@ def solve_list(g: Graph, p: int, lists) -> SolveResult:
     assignment, nodes, seconds = _solve(*_total_model(g), p, given)
     if assignment is None:
         return SolveResult(None, nodes, seconds)
-    report = is_valid(g, p, assignment, total=True)
-    if not report.ok or any(color not in colors for color, colors in zip(assignment, given)):
-        raise AssertionError(f"solver produced an invalid labelling: {report.violations}")
-    return SolveResult(dict(zip(_elements(g), assignment)), nodes, seconds)
+    return SolveResult(_checked_labelling(g, p, assignment, given), nodes, seconds)
 
 
 def solve_span(g: Graph, p: int, k: int) -> SolveResult:

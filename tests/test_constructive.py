@@ -35,9 +35,11 @@ from plabel.harness import mop_with_degree
 from plabel.labelling import (
     Edge,
     Vertex,
+    _checked_labelling,
     _edge_positions,
     check_lists,
     element_from_name,
+    element_name,
     elements_of,
     full_lists,
     is_valid,
@@ -182,7 +184,7 @@ def _walk_path(g, p, lists):
         c[e] = _least(set(lists[e]) - p_ball(c[u], p) - prev_edge)
         c[v] = _least(set(lists[v]) - {c[u]} - p_ball(c[e], p))
         prev_edge = {c[e]}
-    return constructive._checked_output(g, p, c, lists)
+    return _checked_labelling(g, p, c, lists)
 
 
 def _iterator_stack_dfs(g, p, lists):
@@ -217,7 +219,7 @@ def _iterator_stack_dfs(g, p, lists):
             break
         if not advanced:
             stack.pop()
-    return constructive._checked_output(g, p, c, lists)
+    return _checked_labelling(g, p, c, lists)
 
 
 def _relabelled(g, rng):
@@ -229,8 +231,8 @@ def _relabelled(g, rng):
 def _labelling_or_error(label, g, p, lists):
     try:
         return label(g, p, lists)
-    except ValueError as err:
-        return f"ValueError: {err}"
+    except (ValueError, TheoremViolation) as err:
+        return f"{type(err).__name__}: {err}"
 
 
 def test_one_greedy_matches_the_former_walk_and_dfs():
@@ -303,6 +305,101 @@ def test_star_list_shape_and_parameter_errors():
         label_star_list(make_star(2), 2, full_lists(make_star(2), range(6)))
     with pytest.raises(ValueError):
         label_star_list(g, 2, full_lists(g, range(5)))  # needs n+2p-1 = 6
+
+
+def _set_protected_edge_coloring(order, avail, n):
+    """The former protected-edge coloring, on Python sets."""
+    remaining = {e: set(avail[e]) for e in order}
+    uncolored = list(order)
+    protected = next((e for e in order if len(remaining[e]) >= n), None)
+    if protected is None:
+        return None
+    colors = {}
+    for i in range(1, n + 1):
+        union = set().union(*(remaining[e] for e in uncolored))
+        if not union:
+            return None
+        m = min(union)
+        holders = [e for e in uncolored if m in remaining[e]]
+        others = [e for e in holders if e != protected]
+        chosen = others[0] if others else holders[0]
+        colors[chosen] = m
+        uncolored.remove(chosen)
+        if i == n:
+            break
+        for e in uncolored:
+            remaining[e].discard(m)
+        if chosen == protected:
+            fresh = [e for e in uncolored if len(remaining[e]) >= n - i]
+            if not fresh:
+                return None
+            protected = fresh[0]
+    return colors
+
+
+def _set_star_list(g, p, lists):
+    """The former star labeller: center colors tried in order, p-balls
+    subtracted from Python sets."""
+    if p < 2:
+        raise ValueError("the star routine needs p >= 2")
+    center, leaves = constructive._star_shape(g)
+    n = len(leaves)
+    if n < 3:
+        raise ValueError("the star routine needs at least 3 leaves")
+    lists = check_lists(g, lists, minimum=n + 2 * p - 1)
+    edge_at = _edge_positions(g)
+    order = [edge_at[center, v] for v in leaves]
+    for alpha in sorted(lists[center]):
+        reduced = {e: set(lists[e]) - p_ball(alpha, p) for e in order}
+        if not any(len(reduced[e]) >= n for e in order):
+            continue
+        edge_colors = _set_protected_edge_coloring(order, reduced, n)
+        if edge_colors is None:
+            continue
+        c = [None] * len(lists)
+        c[center] = alpha
+        for e, color in edge_colors.items():
+            c[e] = color
+        for v, e in zip(leaves, order):
+            pool = set(lists[v]) - {alpha} - p_ball(c[e], p)
+            if not pool:
+                break
+            c[v] = min(pool)
+        else:
+            return _checked_labelling(g, p, c, lists)
+    raise TheoremViolation(
+        f"star with {n} leaves and p={p}: no center color admitted the "
+        "protected-edge coloring; lists="
+        f"{ {element_name(x): sorted(v) for x, v in zip(elements_of(g), lists)} }"
+    )
+
+
+def test_star_list_matches_the_former_set_routine():
+    # n = 3..8 and p = 2..4 on lists from 0-based, shifted, gapped, huge and
+    # sparse colors, every 7th list one short; also p = 1, two leaves and a
+    # path, which both must refuse with the same message
+    rng = random.Random(SEED + 5)
+    universes = (lambda span, rng: range(span), *_COLOR_UNIVERSES)
+    outcomes = {"labelled": 0, "error": 0}
+    trial = 0
+    for p in (2, 3, 4):
+        for n in range(3, 9):
+            g = make_star(n)
+            for universe in universes:
+                for _ in range(14):
+                    trial += 1
+                    k = n + 2 * p - 1 - (trial % 7 == 0)
+                    colors = list(universe(k + 2 * p, rng))
+                    lists = {x: set(rng.sample(colors, k)) for x in elements_of(g)}
+                    mine = _labelling_or_error(label_star_list, g, p, lists)
+                    assert mine == _labelling_or_error(_set_star_list, g, p, lists), (n, p, lists)
+                    outcomes["error" if isinstance(mine, str) else "labelled"] += 1
+    for g, p in ((make_star(4), 1), (make_star(2), 3), (make_path(5), 2)):
+        lists = full_lists(g, range(20))
+        mine = _labelling_or_error(label_star_list, g, p, lists)
+        assert mine == _labelling_or_error(_set_star_list, g, p, lists)
+        assert mine.startswith("ValueError: ")
+    assert outcomes["labelled"] >= 1000 and outcomes["error"] >= 100, outcomes
 
 
 def test_star_span_closed_form():
@@ -593,7 +690,6 @@ def test_c3_interchange_tight_case():
     labelled = dict(zip(elements, rb.colors()))
     assert audit.interchanges == 1
     assert audit.invalid_swaps == 0
-    assert audit.restricted_solves == 0
     # the swap moved the far-side color onto the hub-side edge
     assert labelled[Edge(0, 2)] == 7 and labelled[Edge(1, 2)] == 6
     assert is_valid(g, p, labelled, total=True).ok
@@ -617,7 +713,6 @@ def test_c3_fallback_recovers_from_corrupted_state():
     labelled = dict(zip(elements, rb.colors()))
     assert audit.interchanges == 1
     assert audit.invalid_swaps == 1
-    assert audit.restricted_solves == 1
     assert audit.full_resolves == 1
     assert rb.resolved_whole_graph
     assert is_valid(g, p, labelled, total=True).ok
@@ -644,7 +739,7 @@ def test_outerplanar_p1_instance_reaches_both_solver_fallbacks():
     assert is_valid(g, 1, c, total=True).ok
     assert respects_lists(c, lists)
     assert (audit.interchanges, audit.invalid_swaps) == (1, 0)
-    assert (audit.restricted_solves, audit.full_resolves) == (1, 1)
+    assert audit.full_resolves == 1
 
 
 def test_c3_repair_calls_the_solver_only_for_the_full_resolve(monkeypatch):
@@ -759,7 +854,7 @@ def test_outerplanar_p1_fallback_instance_picks_pinned_colors():
     text = labelling_to_json(1, label_outerplanar_list(g, 1, lists, audit=audit))
     assert _pin([text, json.dumps(audit.steps)]) == "bd6e826aab459173"
     assert (audit.interchanges, audit.invalid_swaps) == (1, 0)
-    assert (audit.restricted_solves, audit.full_resolves) == (1, 1)
+    assert audit.full_resolves == 1
 
 
 # Lists drawn from colors that are not 0..k-1: shifted, gapped, huge and sparse.
@@ -776,7 +871,8 @@ _COLOR_UNIVERSES = (
 _PINNED_ENCODING = {
     "path": "7ec31c1a031e6925",
     "tree": "835dd5a0529524a9",
-    "outerplanar": "7b3eaaa304858eea",
+    "star": "492b0e4108a24fb5",
+    "outerplanar": "4cfb1c83b71bccb0",
 }
 
 
@@ -784,7 +880,7 @@ _PINNED_ENCODING = {
 def test_labellers_pick_pinned_colors_from_sparse_lists(family):
     make, list_size, sizes, label = _PIN_SWEEP[family]
     texts = []
-    for p in (1, 2, 3):
+    for p in (2, 3) if family == "star" else (1, 2, 3):
         sizes_p = list(sizes(p))
         for trial in range(16):
             rng = random.Random(f"encoding:{family}:{p}:{trial}")
