@@ -119,21 +119,28 @@ def _color_masks(domains, p: int) -> tuple[list[int], list[int], list[int]]:
     """Encode color sets as int bitmasks: bit i stands for values[i], the
     sorted union of the colors, so sparse or huge colors cost no wider ints.
     near[i] masks the colors at distance < p from values[i] (0 at p = 0);
-    masks[j] is domains[j], built by OR so that a repeated color counts once;
-    a domain that is the same object as the one before it reuses its mask
-    and adds nothing to the union."""
-    values = sorted(set().union(*(d for d, before in zip(domains, [None, *domains])
-                                  if d is not before)))
-    bit = {c: 1 << i for i, c in enumerate(values)}
+    masks[j] is domains[j], built by OR so that a repeated color counts once.
+    When every domain is one shared object (a span range, full_lists), its
+    colors are the union and every mask is all of them, so neither is built
+    domain by domain; otherwise a domain that is the same object as the one
+    before it reuses its mask and adds nothing to the union."""
+    first = domains[0] if domains else ()
+    if all(colors is first for colors in domains):
+        values = sorted(set(first))
+        masks = [(1 << len(values)) - 1] * len(domains)
+    else:
+        values = sorted(set().union(*(d for d, before in zip(domains, [None, *domains])
+                                      if d is not before)))
+        bit = {c: 1 << i for i, c in enumerate(values)}
+        masks, last = [], None
+        for colors in domains:
+            if colors is not last:
+                last, mask = colors, 0
+                for c in colors:
+                    mask |= bit[c]
+            masks.append(mask)
     near = [(1 << bisect_left(values, c + p)) - (1 << bisect_right(values, c - p)) if p else 0
             for c in values]
-    masks, last = [], None
-    for colors in domains:
-        if colors is not last:
-            last, mask = colors, 0
-            for c in colors:
-                mask |= bit[c]
-        masks.append(mask)
     return values, near, masks
 
 

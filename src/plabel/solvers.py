@@ -75,34 +75,16 @@ class SolveResult:
         return self.labelling is not None
 
 
-def _search(domains, neqs, seps, p: int, groups):
-    """Backtracking with forward checking; returns (assignment | None, nodes).
-
-    Element i's color must differ from those of its inequality partners
-    neqs[i] and lie at least p from those of its separation partners seps[i].
-    Each domain is an int bitmask over the sorted union of the colors in all
-    domains (bit i is the i-th color), so sparse or huge colors cost no wider
-    ints. Variable order: smallest current domain, ties broken by the number
-    of unassigned partners (more first) and then element order; all
-    deterministic. Value order: ascending color. The degree tie-break matters
-    in practice: without it some dense two-dozen-element instances thrash
-    through millions of nodes. A heap holds the keys, each packed into one
-    int that sorts as (size, -unassigned partners, element) would, and gets
-    new ones as domains and partners change; stale entries are skipped when
-    they reach the top, and the heap is rebuilt once it holds more than
-    4*elements+64 entries, so its memory stays linear.
+def _group_test(domains, near, p: int):
+    """The neighbourhood check on the encoded domains, as fails(center, members).
 
     Each group is a (center, members) pair whose members must take pairwise
     distinct colors, each at least p away from the center's. A group fails
     when its members' domains hold fewer colors than it has members, or when
-    every candidate color of the center leaves too few of them. Groups are
-    checked before anything else is built and, after each assignment, those
-    that contain the assigned element. The check removes no value, so it
-    changes neither the order of the search nor its answer; it only cuts
-    subtrees that hold no solution. The search runs on an explicit stack, so
-    its depth is not bounded by Python's recursion limit.
+    every candidate color of the center leaves too few of them. The check
+    reads the domains list as it is at each call, so a search that changes
+    the list in place tests its current domains.
     """
-    values, near, domains = _color_masks(domains, p)
     ball = 2 * p - 1  # colors in the open p-ball around a center color
 
     def fails(center: int, members: tuple[int, ...]) -> bool:
@@ -122,9 +104,36 @@ def _search(domains, neqs, seps, p: int, groups):
             rest ^= low
         return True
 
-    for center, members in groups:
-        if fails(center, members):
-            return None, 0
+    return fails
+
+
+def _search(values, near, domains, neqs, seps, p: int, groups):
+    """Backtracking with forward checking; returns (assignment | None, nodes).
+
+    values, near and domains are _color_masks's encoding: each domain is an
+    int bitmask over the sorted union values of the colors in all domains
+    (bit i is the i-th color), so sparse or huge colors cost no wider ints.
+    Element i's color must differ from those of its inequality partners
+    neqs[i] and lie at least p from those of its separation partners seps[i].
+    Variable order: smallest current domain, ties broken by the number of
+    unassigned partners (more first) and then element order; all
+    deterministic. Value order: ascending color. The degree tie-break matters
+    in practice: without it some dense two-dozen-element instances thrash
+    through millions of nodes. A heap holds the keys, each packed into one
+    int that sorts as (size, -unassigned partners, element) would, and gets
+    new ones as domains and partners change; stale entries are skipped when
+    they reach the top, and the heap is rebuilt once it holds more than
+    4*elements+64 entries, so its memory stays linear.
+
+    The caller has already passed every group through _group_test at the
+    root (see _solve); the search checks, after each assignment, the groups
+    that contain the assigned element. The check removes no value, so it
+    changes neither the order of the search nor its answer; it only cuts
+    subtrees that hold no solution. The search runs on an explicit stack, so
+    its depth is not bounded by Python's recursion limit. It changes the
+    domains list in place.
+    """
+    fails = _group_test(domains, near, p)
     count = len(domains)
     if not count:
         return [], 0
@@ -230,6 +239,7 @@ def _search(domains, neqs, seps, p: int, groups):
     return None, nodes
 
 
+@functools.lru_cache(maxsize=1)
 def _lp1_model(g: Graph, p: int):
     """The (neqs, seps, groups) of g's vertex labelling, built in one pass.
 
@@ -242,7 +252,9 @@ def _lp1_model(g: Graph, p: int):
     The groups are the (w, N(w)) pairs whose members must take pairwise
     distinct colors. Two neighbours of w are at distance two, or adjacent and
     so at least p >= 1 apart. At p = 0 adjacent neighbours may share a color,
-    so a neighbourhood that holds an edge is left out.
+    so a neighbourhood that holds an edge is left out. The model is returned
+    as tuples and kept for the next call on an equal graph and the same p,
+    so the steps of a min-span scan share one.
     """
     neqs: list[list[int]] = [[] for _ in range(g.n)]
     seen = [{v, *members} for v, members in enumerate(g.adj)]  # linked or adjacent
@@ -257,38 +269,63 @@ def _lp1_model(g: Graph, p: int):
         if members and (p > 0 or not any(
                 g.has_edge(a, b) for a, b in itertools.combinations(members, 2))):
             groups.append((w, members))
-    return neqs, g.adj, groups
+    return tuple(map(tuple, neqs)), g.adj, tuple(groups)
 
 
 @functools.lru_cache(maxsize=1)
-def _total_model(g: Graph):
-    """_lp1_model of the once-subdivided graph, as tuples, read off g. A
-    vertex w must differ from its neighbours (neqs[w] is g.adj[w]) and be p
-    away from its edges (seps[w]); an edge j = (u, v) must differ from the
-    other edges at u, then those at v, and be p away from (u, v). No two
-    neighbours are adjacent, so no pair repeats and no group depends on p.
-    The model is kept for the next call on an equal graph."""
+def _total_groups(g: Graph):
+    """The cheap half of _lp1_model of the once-subdivided graph, read off
+    g, as tuples: (seps, groups). A vertex w must be p away from its edges,
+    seps[w] their positions; an edge j = (u, v) must be p away from its
+    ends, seps[j] = (u, v). The groups are each vertex with its edges and
+    each edge with its ends; no two neighbours are adjacent, so none depends
+    on p. Kept for the next call on an equal graph."""
     n, edges = g.n, g.sorted_edges()
     at: list[list[int]] = [[] for _ in range(n)]
     for j, (u, v) in enumerate(edges, n):
         at[u].append(j)
         at[v].append(j)
+    seps = (*map(tuple, at), *edges)
+    groups = (*((w, ends) for w, ends in enumerate(seps[:n]) if ends), *enumerate(edges, n))
+    return seps, groups
+
+
+@functools.lru_cache(maxsize=1)
+def _total_neqs(g: Graph):
+    """The costly half: the neqs of the once-subdivided graph, as a tuple.
+    A vertex w must differ from its neighbours (neqs[w] is g.adj[w]); an
+    edge j = (u, v) must differ from the other edges at u, then those at v,
+    and no pair repeats. Only a solve that passes the root check builds it;
+    it is kept for the next call on an equal graph."""
+    n, seps = g.n, _total_groups(g)[0]
     neqs = [*g.adj]
-    for j, (u, v) in enumerate(edges, n):
-        others = at[u] + at[v]  # the other edges at u, then those at v
+    for j, (u, v) in enumerate(seps[n:], n):
+        others = [*seps[u], *seps[v]]  # the other edges at u, then those at v
         others.remove(j)
         others.remove(j)
         neqs.append(tuple(others))
-    seps = (*map(tuple, at), *edges)
-    groups = [(w, ends) for w, ends in enumerate(seps[:n]) if ends] + list(enumerate(edges, n))
-    return tuple(neqs), seps, tuple(groups)
+    return tuple(neqs)
 
 
-def _solve(neqs, seps, groups, p: int, domains):
-    """Vertex labelling from the domains under the partners neqs and seps
-    and the groups. Returns (assignment | None, nodes, seconds)."""
+def _solve(domains, p: int, seps, groups, build_neqs):
+    """Root-first labelling from the domains under the separation partners
+    seps, the groups and the inequality partners that build_neqs() returns.
+    Returns (assignment | None, nodes, seconds).
+
+    The domains are encoded once with _color_masks, and every group is
+    checked at the root by _group_test, which reads only the masks and the
+    groups. Only when all pass are the inequality partners built, by
+    build_neqs(), and _search run, which builds its own state (partner
+    counts, heap, groups by element); a root refutation takes 0 nodes and
+    builds none of them.
+    """
     start = time.monotonic()
-    assignment, nodes = _search(domains, neqs, seps, p, groups)
+    values, near, masks = _color_masks(domains, p)
+    fails = _group_test(masks, near, p)
+    for center, members in groups:
+        if fails(center, members):
+            return None, 0, time.monotonic() - start
+    assignment, nodes = _search(values, near, masks, build_neqs(), seps, p, groups)
     return assignment, nodes, time.monotonic() - start
 
 
@@ -299,14 +336,16 @@ def solve_list(g: Graph, p: int, lists) -> SolveResult:
     position (vertex v at v, the j-th sorted edge at n+j), as check_lists
     takes them. The search runs on the once-subdivided graph's constraints,
     read off g (its i-th element in element order is vertex i), and keeps
-    each domain as a bitmask over the colors in all lists. The returned
-    labelling, when present, is re-checked against the direct validity
-    predicate and the lists before being handed back.
+    each domain as a bitmask over the colors in all lists. The neighbourhood
+    check runs first, on the masks and the groups alone, so lists it refutes
+    cost no partner lists and no search state. The returned labelling, when
+    present, is re-checked against the direct validity predicate and the
+    lists before being handed back.
     """
     if p < 0:
         raise ValueError("separation p must be non-negative")
     given = check_lists(g, lists)
-    assignment, nodes, seconds = _solve(*_total_model(g), p, given)
+    assignment, nodes, seconds = _solve(given, p, *_total_groups(g), lambda: _total_neqs(g))
     if assignment is None:
         return SolveResult(None, nodes, seconds)
     return SolveResult(_checked_labelling(g, p, assignment, given), nodes, seconds)
@@ -323,7 +362,8 @@ def lp1_solve_span(g: Graph, p: int, k: int) -> SolveResult:
     """Vertex labelling into {0..k}: adjacent >= p apart, distance-2 distinct."""
     if p < 0 or k < 0:
         raise ValueError("p and k must be non-negative")
-    assignment, nodes, seconds = _solve(*_lp1_model(g, p), p, [range(k + 1)] * g.n)
+    neqs, seps, groups = _lp1_model(g, p)
+    assignment, nodes, seconds = _solve([range(k + 1)] * g.n, p, seps, groups, lambda: neqs)
     if assignment is None:
         return SolveResult(None, nodes, seconds)
     labels = dict(enumerate(assignment))

@@ -374,6 +374,19 @@ def _set_star_list(g, p, lists):
     )
 
 
+def test_protection_moves_to_an_edge_with_exactly_n_minus_i_colors():
+    # the protected edge 10 alone holds rank 0 and takes it at step i = 1;
+    # protection must then move to the first uncolored edge, 11, which keeps
+    # exactly n - i = 2 colors. label_star_list never reaches this bound: its
+    # reduced edge lists hold at least n colors and lose none at the step
+    # that forces the protected edge, so the routine is called directly.
+    remaining = {10: 0b11001, 11: 0b00110, 12: 0b00110}
+    expected = {10: 0, 12: 1, 11: 2}
+    assert constructive._protected_edge_coloring(dict(remaining), 3) == expected
+    ranks = {e: {i for i in range(5) if mask >> i & 1} for e, mask in remaining.items()}
+    assert _set_protected_edge_coloring(list(remaining), ranks, 3) == expected
+
+
 def test_star_list_matches_the_former_set_routine():
     # n = 3..8 and p = 2..4 on lists from 0-based, shifted, gapped, huge and
     # sparse colors, every 7th list one short; also p = 1, two leaves and a

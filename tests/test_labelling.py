@@ -193,6 +193,11 @@ def test_color_masks_encode_by_rank():
     assert _color_masks([span, span, {9}, span], 2) == _color_masks(
         [range(3, 6), range(3, 6), {9}, range(3, 6)], 2)
     assert _color_masks([span, span, {9}, span], 2)[2] == [0b0111, 0b0111, 0b1000, 0b0111]
+    # one object shared by every domain, repeated colors included, encodes
+    # as its equal but distinct copies do
+    for shared in (span, [7, 7, 12, 10**9], frozenset({0})):
+        assert _color_masks([shared] * 3, 3) == _color_masks([list(shared) for _ in range(3)], 3)
+    assert _color_masks([[7, 7, 12]] * 2, 0) == ([7, 12], [0, 0], [0b11, 0b11])
 
 
 def test_is_valid_domain_error():

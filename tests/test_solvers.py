@@ -17,14 +17,16 @@ from plabel.graphs import (
     make_star,
 )
 from plabel.harness import small_connected_graphs
-from plabel.labelling import Edge, Vertex, elements_of, full_lists, respects_lists
+from plabel.labelling import Edge, Vertex, _color_masks, elements_of, full_lists, respects_lists
 from plabel.solvers import (
     Certificate,
     InstanceTooLarge,
     _lex_product,
     _lp1_model,
     _search,
-    _total_model,
+    _solve,
+    _total_groups,
+    _total_neqs,
     certify_choosable,
     element_automorphisms,
     find_bad_assignment,
@@ -341,6 +343,16 @@ def test_path3_choosability_settled_by_witness_search():
     assert min_span(g, 2) == 4
 
 
+def _total_model(g):
+    """Both halves of the total model, as (neqs, seps, groups)."""
+    return (_total_neqs(g), *_total_groups(g))
+
+
+def _root_first(domains, neqs, seps, p, groups):
+    """The solvers' root-first entry on a prebuilt model: (assignment | None, nodes)."""
+    return _solve(domains, p, seps, groups, lambda: neqs)[:2]
+
+
 def _pairs(neqs, seps):
     """The (partner, needs_separation) lists of a model's partner lists."""
     return [[(j, False) for j in a] + [(j, True) for j in b] for a, b in zip(neqs, seps)]
@@ -394,7 +406,8 @@ def test_search_order_matches_rescanning_reference(g, p, k):
     # nodes, backtracking included, and return the same answer
     derived = incidence_graph(g).derived
     neqs, seps, _ = _lp1_model(derived, p)
-    mine = _search([set(range(k + 1)) for _ in range(derived.n)], neqs, seps, p, [])
+    mine = _search(*_color_masks([set(range(k + 1)) for _ in range(derived.n)], p),
+                   neqs, seps, p, [])
     assert mine == _rescanning_search(
         [set(range(k + 1)) for _ in range(derived.n)], _pairs(neqs, seps), p)
 
@@ -413,7 +426,7 @@ def test_search_order_matches_rescanning_reference_on_random_lists():
         lists = [set(rng.sample(pool, rng.randrange(1, width + 1))) for _ in range(g.n + g.m)]
         derived = incidence_graph(g).derived
         neqs, seps, _ = _lp1_model(derived, p)
-        mine = _search([set(colors) for colors in lists], neqs, seps, p, [])
+        mine = _search(*_color_masks([set(colors) for colors in lists], p), neqs, seps, p, [])
         assert mine == _rescanning_search(
             [set(colors) for colors in lists], _pairs(neqs, seps), p), (g, p, lists)
         outcomes["refuted" if mine[0] is None else "labelled"] += 1
@@ -443,7 +456,7 @@ def test_total_model_matches_the_subdivided_graph():
         for p in range(4):
             lp1_neqs, lp1_seps, lp1_groups = _lp1_model(derived, p)
             assert _pairs(neqs, seps) == _pairs(lp1_neqs, lp1_seps), (g, p)
-            assert list(groups) == lp1_groups, (g, p)
+            assert groups == lp1_groups, (g, p)
 
 
 def test_lp1_model_links_adjacent_and_distance_two_pairs():
@@ -472,27 +485,37 @@ def test_lp1_model_links_adjacent_and_distance_two_pairs():
             kept = [w for w in range(g.n) if g.adj[w] and all(
                 (b, False) in cons[a] or (p > 0 and (b, True) in cons[a])
                 for a, b in itertools.combinations(g.adj[w], 2))]
-            assert groups == [(w, g.adj[w]) for w in kept], (g, p)
+            assert groups == tuple((w, g.adj[w]) for w in kept), (g, p)
+
+
+def _clear_models():
+    for memo in (_total_groups, _total_neqs, _lp1_model):
+        memo.cache_clear()
 
 
 def test_reused_model_gives_fresh_answers():
-    import plabel.solvers as solvers
-
     star, path, mop = make_star(3), make_path(4), _MOP10_DELTA6
     # repeats of one object and of an equal but distinct graph, switches
-    # between graphs, and between two graphs of one vertex count
-    calls = [(star, 2, 4), (star, 2, 3), (mop, 2, 6), (star, 2, 4), (mop, 3, 8),
-             (Graph(mop.n, mop.edges), 0, 5), (mop, 2, 7), (Graph(4, star.edges), 2, 3),
-             (path, 2, 4), (star, 2, 4)]
+    # between graphs, and between two graphs of one vertex count; the vertex
+    # solver's calls switch p on one graph and interleave with total solves
+    calls = [(solve_span, star, 2, 4), (solve_span, star, 2, 3), (solve_span, mop, 2, 6),
+             (lp1_solve_span, mop, 2, 6), (lp1_solve_span, mop, 2, 7),
+             (solve_span, star, 2, 4), (solve_span, mop, 3, 8),
+             (lp1_solve_span, Graph(mop.n, mop.edges), 0, 5), (lp1_solve_span, mop, 2, 7),
+             (solve_span, Graph(mop.n, mop.edges), 0, 5), (solve_span, mop, 2, 7),
+             (lp1_solve_span, star, 2, 3), (solve_span, Graph(4, star.edges), 2, 3),
+             (lp1_solve_span, path, 1, 2), (lp1_solve_span, path, 0, 2),
+             (solve_span, path, 2, 4), (solve_span, star, 2, 4)]
     fresh = []
-    for g, p, k in calls:
-        solvers._total_model.cache_clear()
-        result = solve_span(g, p, k)
+    for solve, g, p, k in calls:
+        _clear_models()
+        result = solve(g, p, k)
         fresh.append((result.labelling, result.nodes))
-    solvers._total_model.cache_clear()
+    _clear_models()
     reused = [(result.labelling, result.nodes)
-              for result in (solve_span(g, p, k) for g, p, k in calls)]
+              for result in (solve(g, p, k) for solve, g, p, k in calls)]
     assert reused == fresh
+    assert {labelling is None for labelling, _ in fresh} == {True, False}
 
 
 @pytest.mark.parametrize("n", [600, 2000])
@@ -509,12 +532,43 @@ _MOP12_DELTA8 = Graph(12, [  # make_random_maximal_outerplanar(12, 8)
 ])
 
 
-def test_refutation_below_degree_bound_ends_at_root():
+def _count_calls(monkeypatch, *names):
+    """Wrap each named solvers function so that its calls are counted by name."""
+    import plabel.solvers as solvers
+
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(solvers, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(solvers, name, counted)
+    return calls
+
+
+def test_refutation_below_degree_bound_ends_at_root(monkeypatch):
     # k = Delta+p-2 leaves the 8 edges at vertex 3 too few colors outside the
-    # p-ball of any color of vertex 3; backtracking alone ran over 15 minutes here
+    # p-ball of any color of vertex 3; backtracking alone ran over 15 minutes
+    # here. The root check reads only the masks and the groups, so neither
+    # the inequality partners nor any search state is built.
+    calls = _count_calls(monkeypatch, "_total_neqs", "_search")
     assert _MOP12_DELTA8.max_degree == 8
     result = solve_span(_MOP12_DELTA8, 2, 8)
     assert not result.labelled and result.nodes == 0
+    assert calls == {"_total_neqs": 0, "_search": 0}
+    result = lp1_solve_span(make_star(4), 2, 4)  # the center's 4 neighbours need 4 colors >= 2 away
+    assert not result.labelled and result.nodes == 0
+    assert calls == {"_total_neqs": 0, "_search": 0}
+
+
+def test_feasible_solves_build_the_partner_lists_once_per_graph(monkeypatch):
+    calls = _count_calls(monkeypatch, "_search")
+    _clear_models()
+    star = make_star(3)
+    assert min_span(star, 2) == 4 and min_span(Graph(star.n, star.edges), 2) == 4
+    assert solve_span(star, 2, 5).labelled
+    assert _total_neqs.cache_info().misses == 1 and calls["_search"] == 3
+    assert lp1_min_span(_MOP10_DELTA6, 2) == lp1_min_span(_MOP10_DELTA6, 2)
+    assert _lp1_model.cache_info().misses == 1
 
 
 _TRIANGLES = [
@@ -638,13 +692,14 @@ def _frozen_instance(rng):
 
 def test_search_matches_the_tuple_keyed_search():
     # the split partner lists and packed heap keys must visit exactly the
-    # nodes of the former search, groups included, and give its answers
+    # nodes of the former search, groups included, and give its answers;
+    # the root-first entry's check must refute where the former search's did
     rng = random.Random(15)
     outcomes = {"labelled": 0, "root": 0, "searched": 0}
     for _ in range(2000):
         g, p, domains = _frozen_instance(rng)
         neqs, seps, groups = _total_model(g)
-        mine = _search(domains, neqs, seps, p, groups)
+        mine = _root_first(domains, neqs, seps, p, groups)
         assert mine == tuple_keyed_search(domains, _pairs(neqs, seps), p, groups), (g, p, domains)
         if mine[0] is not None:
             outcomes["labelled"] += 1
@@ -660,7 +715,7 @@ def test_search_matches_the_tuple_keyed_search_on_vertex_labellings():
         k = rng.randrange(max(1, p + g.max_degree - 2), p + g.max_degree + 2)
         neqs, seps, groups = _lp1_model(g, p)
         domains = [range(k)] * g.n
-        mine = _search(domains, neqs, seps, p, groups)
+        mine = _root_first(domains, neqs, seps, p, groups)
         assert mine == tuple_keyed_search(domains, _pairs(neqs, seps), p, groups), (g, p, k)
 
 
@@ -683,7 +738,7 @@ _C8 = Graph(8, [(i, (i + 1) % 8) for i in range(8)])
 def test_packed_keys_at_the_edges(g, p, k, expected):
     neqs, seps, groups = _total_model(g)
     domains = [range(k + 1)] * (g.n + g.m)
-    mine = _search(domains, neqs, seps, p, groups)
+    mine = _root_first(domains, neqs, seps, p, groups)
     assert mine == tuple_keyed_search(domains, _pairs(neqs, seps), p, groups)
     assert mine == expected
 
@@ -695,5 +750,5 @@ def test_packed_keys_on_vertex_labellings(n, p, k):
     for g in (make_path(n), make_star(3)):
         neqs, seps, groups = _lp1_model(g, p)
         domains = [range(k + 1)] * g.n
-        assert _search(domains, neqs, seps, p, groups) == tuple_keyed_search(
+        assert _root_first(domains, neqs, seps, p, groups) == tuple_keyed_search(
             domains, _pairs(neqs, seps), p, groups)
