@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 __all__ = [
     "Graph",
@@ -148,15 +149,19 @@ def incidence_graph(g: Graph) -> IncidenceMap:
     )
 
 
+@lru_cache(maxsize=1)
 def make_path(k: int) -> Graph:
-    """Path on k vertices 0-1-...-(k-1)."""
+    """Path on k vertices 0-1-...-(k-1), kept for the next call with the same
+    argument; graphs are immutable, so callers may share it."""
     if k < 1:
         raise ValueError("a path needs at least one vertex")
     return Graph(k, [(i, i + 1) for i in range(k - 1)])
 
 
+@lru_cache(maxsize=1)
 def make_star(n: int) -> Graph:
-    """Star with center 0 and leaves 1..n."""
+    """Star with center 0 and leaves 1..n, kept for the next call with the
+    same argument; graphs are immutable, so callers may share it."""
     if n < 1:
         raise ValueError("a star needs at least one leaf")
     return Graph(n + 1, [(0, i) for i in range(1, n + 1)])
@@ -171,10 +176,13 @@ def make_fan(n: int) -> Graph:
     return Graph(n + 1, edges)
 
 
+@lru_cache(maxsize=1)
 def make_random_tree(n: int, seed: int) -> Graph:
     """Random tree by attaching each vertex to a uniformly random earlier one.
 
-    Pure function of (n, seed): the same arguments always give the same tree.
+    Pure function of (n, seed): the same arguments always give the same tree,
+    and the last one is kept for the next call with them. Graphs are
+    immutable, so callers may share it.
     """
     if n < 1:
         raise ValueError("a tree needs at least one vertex")

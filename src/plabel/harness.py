@@ -140,7 +140,8 @@ def random_k_assignment(g: Graph, k: int, universe: int, rng: random.Random) -> 
     The sets, and the generator's state afterwards, are those of
     set(rng.sample(range(universe + 1), k)) per element. Below sample's own
     switch from its pool branch to its set branch, sample's getrandbits calls
-    are made here directly, without its per-call overhead.
+    are made here directly, without its per-call overhead, and each pick
+    costs one store into the pool.
     """
     if universe + 1 < k:
         raise ValueError("universe too small for a k-list")
@@ -148,18 +149,19 @@ def random_k_assignment(g: Graph, k: int, universe: int, rng: random.Random) -> 
     if k < 0 or n > 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0):
         return {x: set(rng.sample(range(n), k)) for x in _elements(g)}
     getrandbits = rng.getrandbits
-    draws = [(m, m.bit_length()) for m in range(n, n - k, -1)]
+    draws = [(m, m.bit_length(), m - 1) for m in range(n, n - k, -1)]
     colors = list(range(n))
     lists = {}
-    # each pick is swapped to the end of the pool, so the last k are the picks
+    # the pick leaves the live pool pool[:m]; its last slot moves into the hole
     for x in _elements(g):
         pool = colors[:]
-        for m, bits in draws:
+        picks = lists[x] = set()
+        for m, bits, last in draws:
             j = getrandbits(bits)
             while j >= m:
                 j = getrandbits(bits)
-            pool[j], pool[m - 1] = pool[m - 1], pool[j]
-        lists[x] = set(pool[n - k:])
+            picks.add(pool[j])
+            pool[j] = pool[last]
     return lists
 
 
@@ -292,14 +294,19 @@ def _counterexample(g: Graph, p: int, lists: dict) -> dict:
     return {"graph": emit_graph6(g), "p": p, "lists": json.loads(lists_to_json(p, lists))}
 
 
+def _instance(spec: ExperimentSpec, p: int, trial: int):
+    """Property trial `trial` at p: its size, instance id, graph and guaranteed list size."""
+    size = spec.sizes[trial % len(spec.sizes)]
+    g = make_instance(spec.family, size, p, spec.seed, trial)
+    k = required_list_size(spec.family, g, p)
+    return size, f"props-{spec.family}-n{size:02d}-p{p}-t{trial:04d}", g, k
+
+
 def _trials(spec: ExperimentSpec, p: int):
     """Each property trial at p: its index, size, instance id, graph and
     guaranteed list size."""
     for trial in range(spec.trials):
-        size = spec.sizes[trial % len(spec.sizes)]
-        g = make_instance(spec.family, size, p, spec.seed, trial)
-        k = required_list_size(spec.family, g, p)
-        yield trial, size, f"props-{spec.family}-n{size:02d}-p{p}-t{trial:04d}", g, k
+        yield trial, *_instance(spec, p, trial)
 
 
 def _hunt(report: Report, inst: str, family: str, g: Graph, p: int, k: int,
@@ -314,7 +321,13 @@ def _hunt(report: Report, inst: str, family: str, g: Graph, p: int, k: int,
 def run_property_suite(spec: ExperimentSpec) -> Report:
     """Run a constructive labeller over random assignments of the guaranteed
     size; assert zero failures. Small instances are periodically cross-checked
-    against the complete solver."""
+    against the complete solver.
+
+    Trials run outermost and the p values inside each, so every p of a trial
+    meets the same memoized graph and its element tuple. Each (trial, p)
+    seeds its own list generator, and each p value's verdicts are buffered
+    and reported in p-value order, so the report bytes are those of a loop
+    over p outermost."""
     family = _family(spec.family)
     if any(p < family.min_p for p in spec.p_values):
         raise ValueError(f"family {spec.family!r} needs p >= {family.min_p}")
@@ -324,9 +337,12 @@ def run_property_suite(spec: ExperimentSpec) -> Report:
     report = Report(meta={"suite": "props", **asdict(spec)})
     if spec.policy == "adversarial-search":
         return _adversarial_property_suite(spec, report)
-    for p in spec.p_values:
-        failures = violations = full_resolves = 0
-        for trial, size, inst, g, k in _trials(spec, p):
+    # by position in spec.p_values: that p value's trial verdicts and counts
+    checks = [Report() for _ in spec.p_values]
+    failures, violations, full_resolves = ([0] * len(spec.p_values) for _ in range(3))
+    for trial in range(spec.trials):
+        for at, p in enumerate(spec.p_values):
+            size, inst, g, k = _instance(spec, p, trial)
             rng = _rng(spec.seed, spec.family, size, p, trial)
             if spec.policy == "full-range":
                 lists = full_lists(g, range(k))
@@ -337,25 +353,27 @@ def run_property_suite(spec: ExperimentSpec) -> Report:
             try:
                 labelling = family.label(g, p, lists, audit)
             except (AssertionError, TheoremViolation) as exc:
-                failures += 1
-                violations += isinstance(exc, TheoremViolation)
+                failures[at] += 1
+                violations[at] += isinstance(exc, TheoremViolation)
                 report.add_row(inst, spec.family, g.n, p, k, "failed", fallbacks=audit.full_resolves)
-                report.check(f"{spec.family}-labelling", inst, "labelled",
-                             f"{type(exc).__name__}: {exc}",
-                             certificate=_counterexample(g, p, lists))
+                checks[at].check(f"{spec.family}-labelling", inst, "labelled",
+                                 f"{type(exc).__name__}: {exc}",
+                                 certificate=_counterexample(g, p, lists))
                 continue
-            full_resolves += audit.full_resolves
+            full_resolves[at] += audit.full_resolves
             colors = labelling.values()
             report.add_row(inst, spec.family, g.n, p, k, "labelled", max(colors) - min(colors),
                            fallbacks=audit.full_resolves)
             if trial % _CROSS_CHECK_EVERY == 0 and g.n + g.m <= 12:
                 if not solve_list(g, p, lists).labelled:
-                    report.check(f"{spec.family}-solver-agreement", inst, "labelable",
-                                 "solver-infeasible", certificate=_counterexample(g, p, lists))
+                    checks[at].check(f"{spec.family}-solver-agreement", inst, "labelable",
+                                     "solver-infeasible", certificate=_counterexample(g, p, lists))
+    for at, p in enumerate(spec.p_values):
+        report.verdicts += checks[at].verdicts
         summary = f"props-{spec.family}-p{p}"
-        report.check(f"{spec.family}-zero-failures-p{p}", summary, 0, failures)
+        report.check(f"{spec.family}-zero-failures-p{p}", summary, 0, failures[at])
         report.check(f"{spec.family}-zero-research-events-p{p}", summary, 0,
-                     violations + full_resolves)
+                     violations[at] + full_resolves[at])
     return report
 
 

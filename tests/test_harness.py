@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -22,7 +23,7 @@ from plabel.harness import (
     run_property_suite,
     small_connected_graphs,
 )
-from plabel.labelling import Edge, Vertex, elements_of
+from plabel.labelling import Edge, Vertex, _elements, elements_of
 from plabel.solvers import SolveResult
 
 
@@ -207,6 +208,8 @@ def test_random_k_assignment_matches_random_sample(g):
                 sampled = {x: set(theirs.sample(range(universe + 1), k))
                            for x in elements_of(g)}
                 assert drawn == sampled, (k, universe, seed)
+                assert list(drawn) == elements_of(g), (k, universe, seed)
+                assert all(type(v) is set for v in drawn.values()), (k, universe, seed)
                 assert ours.random() == theirs.random(), (k, universe, seed)
 
 
@@ -235,7 +238,7 @@ def test_report_json_is_canonical():
     assert text == run_oracle_suite(p_values=(2,), sizes=(2, 3)).to_json_text()
 
 
-def _forced_failures(monkeypatch):
+def _forced_failures(monkeypatch, suite=run_property_suite):
     # at p=1 the path labeller fails every trial (a violation on even n, an
     # assertion on odd n), and the solver disagrees with every cross-check
     import plabel.harness as harness
@@ -252,8 +255,7 @@ def _forced_failures(monkeypatch):
 
     monkeypatch.setattr(harness, "label_path_greedy", failing)
     monkeypatch.setattr(harness, "solve_list", lambda g, p, lists: SolveResult(None, 0, 0.0))
-    return run_property_suite(ExperimentSpec(family="path", sizes=(3, 4), p_values=(1, 2),
-                                             trials=51, seed=3))
+    return suite(ExperimentSpec(family="path", sizes=(3, 4), p_values=(1, 2), trials=51, seed=3))
 
 
 def _forced_witnesses(monkeypatch, run):
@@ -346,3 +348,88 @@ def test_reports_are_pinned(name, monkeypatch):
     report = _PINNED_RUNS[name](monkeypatch)
     text = report.to_json_text() + report.to_csv_text()
     assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_DIGESTS.get(name), name
+
+
+def _p_major_property_suite(spec):
+    # the random-k and full-range property suite with the loop over p
+    # outermost; the trial-major suite must give its report bytes
+    import plabel.harness as h
+
+    family = h._family(spec.family)
+    report = h.Report(meta={"suite": "props", **asdict(spec)})
+    for p in spec.p_values:
+        failures = violations = full_resolves = 0
+        for trial, size, inst, g, k in h._trials(spec, p):
+            rng = h._rng(spec.seed, spec.family, size, p, trial)
+            if spec.policy == "full-range":
+                lists = h.full_lists(g, range(k))
+            else:
+                universe = spec.universe if spec.universe is not None else k + 2 * p
+                lists = h.random_k_assignment(g, k, universe, rng)
+            audit = h.OuterplanarAudit()
+            try:
+                labelling = family.label(g, p, lists, audit)
+            except (AssertionError, h.TheoremViolation) as exc:
+                failures += 1
+                violations += isinstance(exc, h.TheoremViolation)
+                report.add_row(inst, spec.family, g.n, p, k, "failed", fallbacks=audit.full_resolves)
+                report.check(f"{spec.family}-labelling", inst, "labelled",
+                             f"{type(exc).__name__}: {exc}",
+                             certificate=h._counterexample(g, p, lists))
+                continue
+            full_resolves += audit.full_resolves
+            colors = labelling.values()
+            report.add_row(inst, spec.family, g.n, p, k, "labelled", max(colors) - min(colors),
+                           fallbacks=audit.full_resolves)
+            if trial % h._CROSS_CHECK_EVERY == 0 and g.n + g.m <= 12:
+                if not h.solve_list(g, p, lists).labelled:
+                    report.check(f"{spec.family}-solver-agreement", inst, "labelable",
+                                 "solver-infeasible", certificate=h._counterexample(g, p, lists))
+        summary = f"props-{spec.family}-p{p}"
+        report.check(f"{spec.family}-zero-failures-p{p}", summary, 0, failures)
+        report.check(f"{spec.family}-zero-research-events-p{p}", summary, 0,
+                     violations + full_resolves)
+    return report
+
+
+def _report_text(report):
+    return report.to_json_text() + report.to_csv_text()
+
+
+# per family: sizes, then p values sorted, repeated and unsorted (stars need p >= 2)
+_ORDER_SPECS = {
+    "path": ((3, 5), ((1, 2, 3), (2, 2), (3, 1))),
+    "tree": ((4, 7), ((1, 2, 3), (2, 2), (3, 1))),
+    "star": ((3, 4), ((2, 3), (2, 2), (3, 2))),
+    "outerplanar": ((7, 8), ((1, 2, 3), (2, 2), (3, 1))),
+}
+
+
+@pytest.mark.parametrize("policy", ["random-k", "full-range"])
+@pytest.mark.parametrize("family", sorted(_ORDER_SPECS))
+def test_trial_major_suite_matches_the_p_major_loop(family, policy):
+    sizes, orders = _ORDER_SPECS[family]
+    for p_values in orders:
+        spec = ExperimentSpec(family=family, sizes=sizes, p_values=p_values, policy=policy,
+                              trials=8, seed=11)
+        assert _report_text(run_property_suite(spec)) == \
+            _report_text(_p_major_property_suite(spec)), p_values
+
+
+def test_forced_failures_match_the_p_major_loop(monkeypatch):
+    report = _forced_failures(monkeypatch)
+    failed = {(v["claim"], v["certificate"]["p"]) for v in report.verdicts if "certificate" in v}
+    assert failed == {("path-labelling", 1), ("path-solver-agreement", 2)}
+    monkeypatch.undo()
+    reference = _forced_failures(monkeypatch, _p_major_property_suite)
+    assert _report_text(report) == _report_text(reference)
+
+
+def test_every_p_of_a_trial_reuses_its_graph():
+    make_random_tree.cache_clear()
+    _elements.cache_clear()
+    run_property_suite(ExperimentSpec(family="tree", sizes=(5, 8), p_values=(1, 2, 3),
+                                      trials=6, seed=4))
+    info = make_random_tree.cache_info()
+    assert (info.misses, info.hits) == (6, 12)
+    assert _elements.cache_info().misses == 6
