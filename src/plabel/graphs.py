@@ -45,9 +45,10 @@ class Graph:
     Edges are stored as pairs (u, v) with u < v; adjacency lists are sorted
     tuples. Values are safe to share between threads once constructed.
     Connectivity is not an invariant; callers that need it ask is_connected().
+    The sorted edge list is built on first use and kept.
     """
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "edges", "adj", "_sorted_edges")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -66,6 +67,7 @@ class Graph:
             neigh[u].append(v)
             neigh[v].append(u)
         self.adj = tuple(tuple(sorted(a)) for a in neigh)
+        self._sorted_edges = None
 
     @property
     def m(self) -> int:
@@ -76,17 +78,19 @@ class Graph:
 
     @property
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adj), default=0)
+        return max(map(len, self.adj), default=0)
 
     @property
     def min_degree(self) -> int:
-        return min((len(a) for a in self.adj), default=0)
+        return min(map(len, self.adj), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        if self._sorted_edges is None:
+            self._sorted_edges = tuple(sorted(self.edges))
+        return list(self._sorted_edges)
 
     def is_connected(self) -> bool:
         if self.n <= 1:

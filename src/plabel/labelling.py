@@ -12,7 +12,8 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import is_
 
 from .graphs import Graph, IncidenceMap
 
@@ -115,18 +116,28 @@ def p_ball(x: int, p: int) -> set[int]:
     return set(range(x - (p - 1), x + p))
 
 
-def _color_masks(domains, p: int) -> tuple[list[int], list[int], list[int]]:
+def _shared(domains) -> bool:
+    """True when there is a domain and every domain is the first one. The
+    identity test stops at the first domain that differs, so lists drawn
+    element by element cost one comparison."""
+    return bool(domains) and all(map(is_, domains, repeat(domains[0])))
+
+
+def _color_masks(domains, p: int,
+                 shared: bool | None = None) -> tuple[list[int], list[int], list[int]]:
     """Encode color sets as int bitmasks: bit i stands for values[i], the
     sorted union of the colors, so sparse or huge colors cost no wider ints.
     near[i] masks the colors at distance < p from values[i] (0 at p = 0);
     masks[j] is domains[j], built by OR so that a repeated color counts once.
-    When every domain is one shared object (a span range, full_lists), its
-    colors are the union and every mask is all of them, so neither is built
-    domain by domain; otherwise a domain that is the same object as the one
-    before it reuses its mask and adds nothing to the union."""
-    first = domains[0] if domains else ()
-    if all(colors is first for colors in domains):
-        values = sorted(set(first))
+    shared is _shared(domains), tested here unless the caller has it. When
+    every domain is one shared object (a span range, full_lists), its colors
+    are the union and every mask is all of them, so neither is built domain
+    by domain; otherwise a domain that is the same object as the one before
+    it reuses its mask and adds nothing to the union."""
+    if shared is None:
+        shared = _shared(domains)
+    if shared:
+        values = sorted(set(domains[0]))
         masks = [(1 << len(values)) - 1] * len(domains)
     else:
         values = sorted(set().union(*(d for d, before in zip(domains, [None, *domains])
@@ -331,16 +342,18 @@ def check_lists(g: Graph, lists, minimum: int | None = None) -> list:
         out = list(lists if by_position else lists.values())
     else:
         out = [lists.get(x) for x in _elements(g)]
-    for i, colors in enumerate(out):
-        if not colors or (minimum is not None and len(colors) < minimum):
-            x = _elements(g)[i]
-            if colors is None and not by_position and x not in lists:
-                raise ValueError(f"missing list for element {element_name(x)}")
-            if not colors:
-                raise ValueError(f"empty list for element {element_name(x)}")
-            raise ValueError(
-                f"list for {element_name(x)} has {len(colors)} colors; need at least {minimum}"
-            )
+    # all() and len() test every list in C; the loop only names the first that fails
+    if not all(out) or (minimum is not None and min(map(len, out), default=minimum) < minimum):
+        for i, colors in enumerate(out):
+            if not colors or (minimum is not None and len(colors) < minimum):
+                x = _elements(g)[i]
+                if colors is None and not by_position and x not in lists:
+                    raise ValueError(f"missing list for element {element_name(x)}")
+                if not colors:
+                    raise ValueError(f"empty list for element {element_name(x)}")
+                raise ValueError(
+                    f"list for {element_name(x)} has {len(colors)} colors; need at least {minimum}"
+                )
     # every element has its list, so any further key names no element of g
     if not by_position and len(lists) != len(out):
         known = set(_elements(g))

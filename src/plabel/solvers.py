@@ -29,6 +29,7 @@ from .labelling import (
     _json_colors,
     _json_elements,
     _json_loads,
+    _shared,
     check_lists,
     element_key,
     element_name,
@@ -84,6 +85,14 @@ def _group_test(domains, near, p: int):
     every candidate color of the center leaves too few of them. The check
     reads the domains list as it is at each call, so a search that changes
     the list in place tests its current domains.
+
+    When every domain is the same mask, a group of d members has spare =
+    V - d for the V colors of that mask, and the center's candidates and
+    the colors near them are the same for every group. So the verdict
+    depends on d alone and is monotone in it: spare only falls as d grows,
+    so if a group fails, every larger one fails, and if the largest passes,
+    all pass. fails(0, (0,) * d) over that one mask decides every group of
+    d members (see _solve).
     """
     ball = 2 * p - 1  # colors in the open p-ball around a center color
 
@@ -307,24 +316,35 @@ def _total_neqs(g: Graph):
     return tuple(neqs)
 
 
-def _solve(domains, p: int, seps, groups, build_neqs):
+def _solve(domains, p: int, largest: int, build_groups, build_neqs):
     """Root-first labelling from the domains under the separation partners
-    seps, the groups and the inequality partners that build_neqs() returns.
-    Returns (assignment | None, nodes, seconds).
+    and groups that build_groups() returns, as (seps, groups), and the
+    inequality partners that build_neqs() returns; largest is the member
+    count of the largest group. Returns (assignment | None, nodes, seconds).
 
     The domains are encoded once with _color_masks, and every group is
     checked at the root by _group_test, which reads only the masks and the
-    groups. Only when all pass are the inequality partners built, by
-    build_neqs(), and _search run, which builds its own state (partner
-    counts, heap, groups by element); a root refutation takes 0 nodes and
-    builds none of them.
+    groups. When every domain is one shared object, every group of d
+    members sees the same colors, so its verdict depends on d alone, and a
+    larger d only leaves fewer spare colors: one test of a group of largest
+    members decides them all, and a refutation builds no groups. Only when
+    all pass are the inequality partners built, by build_neqs(), and
+    _search run, which builds its own state (partner counts, heap, groups
+    by element); a root refutation takes 0 nodes and builds none of them.
     """
     start = time.monotonic()
-    values, near, masks = _color_masks(domains, p)
+    shared = _shared(domains)
+    values, near, masks = _color_masks(domains, p, shared)
     fails = _group_test(masks, near, p)
-    for center, members in groups:
-        if fails(center, members):
+    if shared:
+        if largest and fails(0, (0,) * largest):
             return None, 0, time.monotonic() - start
+        seps, groups = build_groups()
+    else:
+        seps, groups = build_groups()
+        for center, members in groups:
+            if fails(center, members):
+                return None, 0, time.monotonic() - start
     assignment, nodes = _search(values, near, masks, build_neqs(), seps, p, groups)
     return assignment, nodes, time.monotonic() - start
 
@@ -338,14 +358,20 @@ def solve_list(g: Graph, p: int, lists) -> SolveResult:
     read off g (its i-th element in element order is vertex i), and keeps
     each domain as a bitmask over the colors in all lists. The neighbourhood
     check runs first, on the masks and the groups alone, so lists it refutes
-    cost no partner lists and no search state. The returned labelling, when
-    present, is re-checked against the direct validity predicate and the
-    lists before being handed back.
+    cost no partner lists and no search state. When every element has the
+    same list object (solve_span's range, full_lists), the check is one
+    test of the largest group, a vertex with its Delta edges or an edge with
+    its two ends, read off g.adj (see _solve), so its refutation builds no
+    groups either. The returned labelling, when present, is re-checked
+    against the direct validity predicate and the lists before being handed
+    back.
     """
     if p < 0:
         raise ValueError("separation p must be non-negative")
     given = check_lists(g, lists)
-    assignment, nodes, seconds = _solve(given, p, *_total_groups(g), lambda: _total_neqs(g))
+    largest = max(g.max_degree, 2) if g.m else 0
+    assignment, nodes, seconds = _solve(given, p, largest, lambda: _total_groups(g),
+                                        lambda: _total_neqs(g))
     if assignment is None:
         return SolveResult(None, nodes, seconds)
     return SolveResult(_checked_labelling(g, p, assignment, given), nodes, seconds)
@@ -363,7 +389,9 @@ def lp1_solve_span(g: Graph, p: int, k: int) -> SolveResult:
     if p < 0 or k < 0:
         raise ValueError("p and k must be non-negative")
     neqs, seps, groups = _lp1_model(g, p)
-    assignment, nodes, seconds = _solve([range(k + 1)] * g.n, p, seps, groups, lambda: neqs)
+    largest = max((len(members) for _, members in groups), default=0)
+    assignment, nodes, seconds = _solve([range(k + 1)] * g.n, p, largest,
+                                        lambda: (seps, groups), lambda: neqs)
     if assignment is None:
         return SolveResult(None, nodes, seconds)
     labels = dict(enumerate(assignment))

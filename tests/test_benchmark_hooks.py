@@ -48,3 +48,22 @@ def test_props_draws_and_checks_through_the_traced_names(monkeypatch):
     spec = harness.ExperimentSpec(family="tree", sizes=(5,), p_values=(2,), trials=2)
     assert harness.run_property_suite(spec).ok
     assert calls == {"draw": 2, "check": 2}
+
+
+def test_span_refutation_passes_through_the_traced_solve_list(monkeypatch):
+    # the tracer derives solvers.solve_calls, solvers.refutations and
+    # solvers.refute_s from solve_list spans, so a root refutation by
+    # solve_span must still go through that module attribute
+    from plabel import solvers
+    from plabel.graphs import make_star
+
+    original, calls = solvers.solve_list, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve_list", counting)
+    result = solvers.solve_span(make_star(5), 2, 5)  # below the bound Delta+p-1 = 6
+    assert not result.labelled and result.nodes == 0
+    assert len(calls) == 1

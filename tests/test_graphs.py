@@ -199,3 +199,13 @@ def test_format_round_trips(n, seed):
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
         emit_graph(make_path(2), "dimacs")
+
+
+def test_sorted_edges_is_kept_and_handed_out_as_a_fresh_list():
+    g = Graph(4, [(2, 3), (0, 1), (1, 3), (0, 2)])
+    first = g.sorted_edges()
+    assert first == sorted(g.edges) == [(0, 1), (0, 2), (1, 3), (2, 3)]
+    first.clear()  # a caller's list is its own
+    assert g.sorted_edges() == sorted(g.edges) and g.sorted_edges() is not g.sorted_edges()
+    assert g == Graph(4, g.edges) and hash(g) == hash(Graph(4, g.edges))
+    assert Graph(0).sorted_edges() == [] and Graph(0).max_degree == Graph(0).min_degree == 0

@@ -15,6 +15,7 @@ from plabel.labelling import (
     Violation,
     _color_masks,
     _edge_positions,
+    _shared,
     check_lists,
     element_from_name,
     element_key,
@@ -198,6 +199,18 @@ def test_color_masks_encode_by_rank():
     for shared in (span, [7, 7, 12, 10**9], frozenset({0})):
         assert _color_masks([shared] * 3, 3) == _color_masks([list(shared) for _ in range(3)], 3)
     assert _color_masks([[7, 7, 12]] * 2, 0) == ([7, 12], [0, 0], [0b11, 0b11])
+
+
+def test_shared_is_an_identity_test():
+    # equal but distinct lists are not shared: they take the general encoding
+    # and the solver's per-group root check
+    span = range(3)
+    assert _shared([span] * 4) and _shared((span,))
+    assert not _shared([]) and not _shared([range(3) for _ in range(4)])
+    assert not _shared([span] * 3 + [range(3)]) and not _shared([{1}, span, span])
+    # a caller that has tested the domains passes the answer along
+    for shared in (True, False):
+        assert _color_masks([span] * 3, 2, shared) == _color_masks([span] * 3, 2)
 
 
 def test_is_valid_domain_error():
@@ -475,3 +488,17 @@ def test_check_lists_names_missing_and_foreign_keys_after_another_graph():
     check_lists(h, {x: {0} for x in elements_of(h)})
     with pytest.raises(ValueError, match="list for e:1-2, which is not an element"):
         check_lists(g, lists)
+
+
+@pytest.mark.parametrize("lists, minimum, message", [
+    ([range(1)] * 5, 2, "list for v:0 has 1 colors; need at least 2"),
+    ([range(0)] * 5, None, "empty list for element v:0"),
+    ([range(3)] * 4 + [range(1)], 2, "list for e:0-2 has 1 colors; need at least 2"),
+    ([range(3)] * 3 + [set()] + [range(3)], None, "empty list for element e:0-1"),
+])
+def test_check_lists_names_the_first_bad_list_by_position(lists, minimum, message):
+    # lists by position, one object shared by all or by the good ones
+    with pytest.raises(ValueError) as info:
+        check_lists(make_star(2), lists, minimum)
+    assert str(info.value) == message
+    assert check_lists(make_star(2), [range(3)] * 5, 3) == [range(3)] * 5

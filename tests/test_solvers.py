@@ -21,6 +21,7 @@ from plabel.labelling import Edge, Vertex, _color_masks, elements_of, full_lists
 from plabel.solvers import (
     Certificate,
     InstanceTooLarge,
+    _group_test,
     _lex_product,
     _lp1_model,
     _search,
@@ -350,7 +351,8 @@ def _total_model(g):
 
 def _root_first(domains, neqs, seps, p, groups):
     """The solvers' root-first entry on a prebuilt model: (assignment | None, nodes)."""
-    return _solve(domains, p, seps, groups, lambda: neqs)[:2]
+    largest = max((len(members) for _, members in groups), default=0)
+    return _solve(domains, p, largest, lambda: (seps, groups), lambda: neqs)[:2]
 
 
 def _pairs(neqs, seps):
@@ -549,12 +551,16 @@ def test_refutation_below_degree_bound_ends_at_root(monkeypatch):
     # k = Delta+p-2 leaves the 8 edges at vertex 3 too few colors outside the
     # p-ball of any color of vertex 3; backtracking alone ran over 15 minutes
     # here. The root check reads only the masks and the groups, so neither
-    # the inequality partners nor any search state is built.
+    # the inequality partners nor any search state is built; a span range
+    # shared by every element is decided by one test of the largest group,
+    # read off g.adj, so not even the groups are built.
     calls = _count_calls(monkeypatch, "_total_neqs", "_search")
     assert _MOP12_DELTA8.max_degree == 8
+    _total_groups.cache_clear()
     result = solve_span(_MOP12_DELTA8, 2, 8)
     assert not result.labelled and result.nodes == 0
     assert calls == {"_total_neqs": 0, "_search": 0}
+    assert _total_groups.cache_info().misses == 0
     result = lp1_solve_span(make_star(4), 2, 4)  # the center's 4 neighbours need 4 colors >= 2 away
     assert not result.labelled and result.nodes == 0
     assert calls == {"_total_neqs": 0, "_search": 0}
@@ -569,6 +575,70 @@ def test_feasible_solves_build_the_partner_lists_once_per_graph(monkeypatch):
     assert _total_neqs.cache_info().misses == 1 and calls["_search"] == 3
     assert lp1_min_span(_MOP10_DELTA6, 2) == lp1_min_span(_MOP10_DELTA6, 2)
     assert _lp1_model.cache_info().misses == 1
+
+
+def test_one_group_verdict_matches_the_group_loop_on_stars():
+    # on K_1,d with one shared range of V colors the groups have 1, 2 and d
+    # members; the test of the largest must give the loop's verdict, and the
+    # solve the same answer and nodes as distinct, equal ranges (which take
+    # the loop)
+    refuted = 0
+    for d in range(1, 9):
+        g = make_star(d)
+        groups = _total_groups(g)[1]
+        for colors in range(1, 9):
+            for p in range(5):
+                shared = [range(colors)] * (g.n + g.m)
+                _, near, masks = _color_masks(shared, p)
+                fails = _group_test(masks, near, p)
+                loop = any(fails(center, members) for center, members in groups)
+                assert loop == fails(0, (0,) * max(d, 2)), (d, colors, p)
+                refuted += loop
+                mine = solve_list(g, p, shared)
+                theirs = solve_list(g, p, [range(colors) for _ in shared])
+                assert (mine.labelling, mine.nodes) == (theirs.labelling, theirs.nodes)
+                assert (mine.nodes == 0 and not mine.labelled) == loop
+    assert 0 < refuted < 8 * 8 * 5, refuted
+
+
+def test_shared_span_matches_distinct_ranges():
+    # solve_span shares one range object and takes the one-group test;
+    # distinct range objects of the same colors take the per-group loop.
+    # Graphs of at most 8 vertices and 14 edges (denser ones make a few
+    # searches run for seconds), k from the degree bound -3 to +1.
+    rng = random.Random(20)
+    refuted = infeasible = 0
+    for _ in range(1500):
+        n = rng.randrange(1, 9)
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph(n, rng.sample(pairs, rng.randrange(min(len(pairs), 14) + 1)))
+        p = rng.randrange(4)
+        bound = g.max_degree - 1 if p == 0 else g.max_degree + p - 1
+        k = max(0, bound + rng.randrange(-3, 2))
+        mine = solve_span(g, p, k)
+        theirs = solve_list(g, p, [range(k + 1) for _ in range(g.n + g.m)])
+        assert (mine.labelling, mine.nodes) == (theirs.labelling, theirs.nodes), (g.edges, p, k)
+        infeasible += not mine.labelled
+        refuted += not mine.labelled and mine.nodes == 0
+    assert refuted > 300 and infeasible > refuted, (refuted, infeasible)
+
+
+def test_lp1_largest_group_leaves_out_neighbourhoods_with_an_edge():
+    # at p = 0 vertex 0's four neighbours hold the edge 1-2, so its group is
+    # left out: the largest group is vertex 5's three leaves, not Delta = 4.
+    # Three colors refute a four-member group but label the graph.
+    g = Graph(9, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (5, 6), (5, 7), (5, 8)])
+    neqs, seps, groups = _lp1_model(g, 0)
+    assert g.max_degree == 4 and max(len(members) for _, members in groups) == 3
+    values, near, masks = _color_masks([range(3)], 0)
+    assert _group_test(masks, near, 0)(0, (0,) * g.max_degree)
+    mine = lp1_solve_span(g, 0, 2)
+    assert mine.labelled
+    # distinct ranges take the per-group loop, which reads no largest size
+    theirs = _solve([range(3) for _ in range(g.n)], 0, None, lambda: (seps, groups),
+                    lambda: neqs)
+    assert list(mine.labelling.values()) == theirs[0] and mine.nodes == theirs[1]
+    assert not lp1_solve_span(g, 0, 1).labelled
 
 
 _TRIANGLES = [
