@@ -153,9 +153,12 @@ def _protected_edge_coloring(remaining: dict, n: int) -> dict | None:
     remaining maps each edge, in order, to the mask of its colors. Repeatedly
     takes the global minimum m of the uncolored masks and gives it to an edge
     other than the protected one whenever some other edge holds m; when the
-    protected edge is forced, protection moves to an uncolored edge that
-    still has at least n-i colors. Returns the rank of each edge's color, or
-    None if stranded (also when no edge has n colors to start with).
+    protected edge is forced at step i, protection moves to the first
+    uncolored edge. When every mask holds at least n colors, as
+    label_star_list's reduced edge lists do, that edge keeps at least n-i+1:
+    each step takes at most one color from a mask, and the forcing step none
+    from the others, which did not hold m. Returns the rank of each edge's
+    color, or None if stranded (also when no edge has n colors to start with).
     """
     uncolored = list(remaining)
     protected = next((e for e in uncolored if remaining[e].bit_count() >= n), None)
@@ -178,10 +181,7 @@ def _protected_edge_coloring(remaining: dict, n: int) -> dict | None:
         for e in uncolored:
             remaining[e] &= ~low
         if chosen == protected:
-            fresh = [e for e in uncolored if remaining[e].bit_count() >= n - i]
-            if not fresh:
-                return None
-            protected = fresh[0]
+            protected = uncolored[0]
     return colors
 
 

@@ -16,7 +16,6 @@ import functools
 import heapq
 import itertools
 import json
-import time
 from dataclasses import dataclass
 from math import comb
 
@@ -69,7 +68,6 @@ class InstanceTooLarge(ValueError):
 class SolveResult:
     labelling: dict | None
     nodes: int
-    seconds: float
 
     @property
     def labelled(self) -> bool:
@@ -282,12 +280,14 @@ def _lp1_model(g: Graph, p: int):
 
 
 @functools.lru_cache(maxsize=1)
-def _total_groups(g: Graph):
-    """The cheap half of _lp1_model of the once-subdivided graph, read off
-    g, as tuples: (seps, groups). A vertex w must be p away from its edges,
-    seps[w] their positions; an edge j = (u, v) must be p away from its
-    ends, seps[j] = (u, v). The groups are each vertex with its edges and
-    each edge with its ends; no two neighbours are adjacent, so none depends
+def _total_model(g: Graph):
+    """_lp1_model of the once-subdivided graph, read off g in one pass over
+    its sorted edges: (neqs, seps, groups) as tuples. A vertex w must differ
+    from its neighbours (neqs[w] is g.adj[w]) and lie p away from its edges
+    (seps[w], their positions); an edge j = (u, v) must differ from the
+    other edges at u, then those at v, and lie p away from its ends
+    (seps[j] = (u, v)). The groups are each vertex with its edges and each
+    edge with its ends; no two members of one are adjacent, so none depends
     on p. Kept for the next call on an equal graph."""
     n, edges = g.n, g.sorted_edges()
     at: list[list[int]] = [[] for _ in range(n)]
@@ -295,58 +295,44 @@ def _total_groups(g: Graph):
         at[u].append(j)
         at[v].append(j)
     seps = (*map(tuple, at), *edges)
-    groups = (*((w, ends) for w, ends in enumerate(seps[:n]) if ends), *enumerate(edges, n))
-    return seps, groups
-
-
-@functools.lru_cache(maxsize=1)
-def _total_neqs(g: Graph):
-    """The costly half: the neqs of the once-subdivided graph, as a tuple.
-    A vertex w must differ from its neighbours (neqs[w] is g.adj[w]); an
-    edge j = (u, v) must differ from the other edges at u, then those at v,
-    and no pair repeats. Only a solve that passes the root check builds it;
-    it is kept for the next call on an equal graph."""
-    n, seps = g.n, _total_groups(g)[0]
+    del at  # kept alive, these lists set off gen-0 collections in the loop below
     neqs = [*g.adj]
-    for j, (u, v) in enumerate(seps[n:], n):
+    for j, (u, v) in enumerate(edges, n):
         others = [*seps[u], *seps[v]]  # the other edges at u, then those at v
         others.remove(j)
         others.remove(j)
         neqs.append(tuple(others))
-    return tuple(neqs)
+    groups = (*((w, ends) for w, ends in enumerate(seps[:n]) if ends), *enumerate(edges, n))
+    return tuple(neqs), seps, groups
 
 
-def _solve(domains, p: int, largest: int, build_groups, build_neqs):
-    """Root-first labelling from the domains under the separation partners
-    and groups that build_groups() returns, as (seps, groups), and the
-    inequality partners that build_neqs() returns; largest is the member
-    count of the largest group. Returns (assignment | None, nodes, seconds).
+def _solve(domains, p: int, largest: int, model):
+    """Root-first labelling from the domains under the (neqs, seps, groups)
+    that model() returns; largest is the member count of the largest group.
+    Returns (assignment | None, nodes).
 
-    The domains are encoded once with _color_masks, and every group is
+    The domains are encoded once with _color_masks, and the groups are
     checked at the root by _group_test, which reads only the masks and the
     groups. When every domain is one shared object, every group of d
     members sees the same colors, so its verdict depends on d alone, and a
     larger d only leaves fewer spare colors: one test of a group of largest
-    members decides them all, and a refutation builds no groups. Only when
-    all pass are the inequality partners built, by build_neqs(), and
-    _search run, which builds its own state (partner counts, heap, groups
-    by element); a root refutation takes 0 nodes and builds none of them.
+    members decides them all, and its refutation returns before model() is
+    called. Otherwise the model is built, distinct domains take the test of
+    every group, and _search runs when all pass; it builds its own state
+    (partner counts, heap, groups by element), so a root refutation takes
+    0 nodes and builds none of it.
     """
-    start = time.monotonic()
     shared = _shared(domains)
     values, near, masks = _color_masks(domains, p, shared)
     fails = _group_test(masks, near, p)
-    if shared:
-        if largest and fails(0, (0,) * largest):
-            return None, 0, time.monotonic() - start
-        seps, groups = build_groups()
-    else:
-        seps, groups = build_groups()
+    if shared and largest and fails(0, (0,) * largest):
+        return None, 0
+    neqs, seps, groups = model()
+    if not shared:
         for center, members in groups:
             if fails(center, members):
-                return None, 0, time.monotonic() - start
-    assignment, nodes = _search(values, near, masks, build_neqs(), seps, p, groups)
-    return assignment, nodes, time.monotonic() - start
+                return None, 0
+    return _search(values, near, masks, neqs, seps, p, groups)
 
 
 def solve_list(g: Graph, p: int, lists) -> SolveResult:
@@ -354,27 +340,25 @@ def solve_list(g: Graph, p: int, lists) -> SolveResult:
 
     The lists are a dict keyed by element or a list of color sets by element
     position (vertex v at v, the j-th sorted edge at n+j), as check_lists
-    takes them. The search runs on the once-subdivided graph's constraints,
-    read off g (its i-th element in element order is vertex i), and keeps
-    each domain as a bitmask over the colors in all lists. The neighbourhood
-    check runs first, on the masks and the groups alone, so lists it refutes
-    cost no partner lists and no search state. When every element has the
-    same list object (solve_span's range, full_lists), the check is one
-    test of the largest group, a vertex with its Delta edges or an edge with
-    its two ends, read off g.adj (see _solve), so its refutation builds no
-    groups either. The returned labelling, when present, is re-checked
-    against the direct validity predicate and the lists before being handed
-    back.
+    takes them. The search runs on _total_model(g), the once-subdivided
+    graph's model read off g, and keeps each domain as a bitmask over the
+    colors in all lists. The neighbourhood check runs first, so lists it
+    refutes cost no search state. When every element has the same list
+    object (solve_span's range, full_lists), the check is one test of the
+    largest group, a vertex with its Delta edges or an edge with its two
+    ends, read off g.adj (see _solve), and its refutation builds no model;
+    distinct list objects build the model before their check. The returned
+    labelling, when present, is re-checked against the direct validity
+    predicate and the lists before being handed back.
     """
     if p < 0:
         raise ValueError("separation p must be non-negative")
     given = check_lists(g, lists)
     largest = max(g.max_degree, 2) if g.m else 0
-    assignment, nodes, seconds = _solve(given, p, largest, lambda: _total_groups(g),
-                                        lambda: _total_neqs(g))
+    assignment, nodes = _solve(given, p, largest, lambda: _total_model(g))
     if assignment is None:
-        return SolveResult(None, nodes, seconds)
-    return SolveResult(_checked_labelling(g, p, assignment, given), nodes, seconds)
+        return SolveResult(None, nodes)
+    return SolveResult(_checked_labelling(g, p, assignment, given), nodes)
 
 
 def solve_span(g: Graph, p: int, k: int) -> SolveResult:
@@ -388,16 +372,15 @@ def lp1_solve_span(g: Graph, p: int, k: int) -> SolveResult:
     """Vertex labelling into {0..k}: adjacent >= p apart, distance-2 distinct."""
     if p < 0 or k < 0:
         raise ValueError("p and k must be non-negative")
-    neqs, seps, groups = _lp1_model(g, p)
-    largest = max((len(members) for _, members in groups), default=0)
-    assignment, nodes, seconds = _solve([range(k + 1)] * g.n, p, largest,
-                                        lambda: (seps, groups), lambda: neqs)
+    model = _lp1_model(g, p)
+    largest = max((len(members) for _, members in model[2]), default=0)
+    assignment, nodes = _solve([range(k + 1)] * g.n, p, largest, lambda: model)
     if assignment is None:
-        return SolveResult(None, nodes, seconds)
+        return SolveResult(None, nodes)
     labels = dict(enumerate(assignment))
     if not lp1_is_valid(g, p, labels).ok:
         raise AssertionError("vertex-labelling solver produced an invalid labelling")
-    return SolveResult(labels, nodes, seconds)
+    return SolveResult(labels, nodes)
 
 
 def _least_span(solve, g: Graph, p: int, k: int) -> tuple[int, SolveResult]:

@@ -254,7 +254,7 @@ def _forced_failures(monkeypatch, suite=run_property_suite):
         raise AssertionError(f"forced on n={g.n}")
 
     monkeypatch.setattr(harness, "label_path_greedy", failing)
-    monkeypatch.setattr(harness, "solve_list", lambda g, p, lists: SolveResult(None, 0, 0.0))
+    monkeypatch.setattr(harness, "solve_list", lambda g, p, lists: SolveResult(None, 0))
     return suite(ExperimentSpec(family="path", sizes=(3, 4), p_values=(1, 2), trials=51, seed=3))
 
 
