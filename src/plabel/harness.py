@@ -302,13 +302,6 @@ def _instance(spec: ExperimentSpec, p: int, trial: int):
     return size, f"props-{spec.family}-n{size:02d}-p{p}-t{trial:04d}", g, k
 
 
-def _trials(spec: ExperimentSpec, p: int):
-    """Each property trial at p: its index, size, instance id, graph and
-    guaranteed list size."""
-    for trial in range(spec.trials):
-        yield trial, *_instance(spec, p, trial)
-
-
 def _hunt(report: Report, inst: str, family: str, g: Graph, p: int, k: int,
           universe: int | None, budget: int):
     """A lexicographic witness hunt and its report row. Returns the outcome
@@ -321,13 +314,15 @@ def _hunt(report: Report, inst: str, family: str, g: Graph, p: int, k: int,
 def run_property_suite(spec: ExperimentSpec) -> Report:
     """Run a constructive labeller over random assignments of the guaranteed
     size; assert zero failures. Small instances are periodically cross-checked
-    against the complete solver.
+    against the complete solver. The adversarial-search policy runs a witness
+    hunt at the guaranteed size instead and expects exhaustion, since a bad
+    assignment there would contradict a proven bound.
 
     Trials run outermost and the p values inside each, so every p of a trial
-    meets the same memoized graph and its element tuple. Each (trial, p)
-    seeds its own list generator, and each p value's verdicts are buffered
-    and reported in p-value order, so the report bytes are those of a loop
-    over p outermost."""
+    meets the same memoized graph, its element tuple and its automorphisms.
+    Each (trial, p) seeds its own list generator, and each p value's verdicts
+    are buffered and reported in p-value order, so the report bytes are those
+    of a loop over p outermost."""
     family = _family(spec.family)
     if any(p < family.min_p for p in spec.p_values):
         raise ValueError(f"family {spec.family!r} needs p >= {family.min_p}")
@@ -335,14 +330,20 @@ def run_property_suite(spec: ExperimentSpec) -> Report:
     if min(spec.sizes) < least:
         raise ValueError(f"family {spec.family!r} needs size >= {least}")
     report = Report(meta={"suite": "props", **asdict(spec)})
-    if spec.policy == "adversarial-search":
-        return _adversarial_property_suite(spec, report)
+    adversarial = spec.policy == "adversarial-search"
     # by position in spec.p_values: that p value's trial verdicts and counts
     checks = [Report() for _ in spec.p_values]
     failures, violations, full_resolves = ([0] * len(spec.p_values) for _ in range(3))
     for trial in range(spec.trials):
         for at, p in enumerate(spec.p_values):
             size, inst, g, k = _instance(spec, p, trial)
+            if adversarial:
+                kind, witness = _hunt(report, inst, spec.family, g, p, k, spec.universe, spec.budget)
+                if witness is not None:
+                    failures[at] += 1
+                    checks[at].check(f"{spec.family}-guarantee-adversarial", inst, "exhausted",
+                                     kind, certificate=witness)
+                continue
             rng = _rng(spec.seed, spec.family, size, p, trial)
             if spec.policy == "full-range":
                 lists = full_lists(g, range(k))
@@ -371,52 +372,35 @@ def run_property_suite(spec: ExperimentSpec) -> Report:
     for at, p in enumerate(spec.p_values):
         report.verdicts += checks[at].verdicts
         summary = f"props-{spec.family}-p{p}"
+        if adversarial:
+            report.check(f"{spec.family}-zero-witnesses-p{p}", summary, 0, failures[at])
+            continue
         report.check(f"{spec.family}-zero-failures-p{p}", summary, 0, failures[at])
         report.check(f"{spec.family}-zero-research-events-p{p}", summary, 0,
                      violations[at] + full_resolves[at])
     return report
 
 
-def _adversarial_property_suite(spec: ExperimentSpec, report: Report) -> Report:
-    """Witness hunts at the guaranteed list size: any bad assignment found
-    there would contradict a proven bound, so the expectation is exhaustion."""
-    for p in spec.p_values:
-        witnesses = 0
-        for _, _, inst, g, k in _trials(spec, p):
-            kind, witness = _hunt(report, inst, spec.family, g, p, k, spec.universe, spec.budget)
-            if witness is not None:
-                witnesses += 1
-                report.check(f"{spec.family}-guarantee-adversarial", inst, "exhausted", kind,
-                             certificate=witness)
-        report.check(f"{spec.family}-zero-witnesses-p{p}", f"props-{spec.family}-p{p}", 0,
-                     witnesses)
-    return report
-
-
 # --- counterexample hunts ---------------------------------------------------------
 
 
-def _hunt_graphs(conjecture: str, spec: ExperimentSpec, p: int):
-    for trial in range(spec.trials):
-        size = spec.sizes[trial % len(spec.sizes)]
-        if conjecture == "outerplanar":
-            # the open regime: outerplanar with maximum degree at most p+2. A
-            # maximal outerplanar graph on n >= 3 vertices has degree sum 4n-6 and
-            # at least two vertices of degree 2, so at p=1 (maximum degree 3)
-            # 4n-6 <= 3n-2 leaves only n = 3 and 4
-            if size < 3 or (p == 1 and size > 4):
-                continue
-            g = mop_with_degree(size, spec.seed * 1000003 + trial, max_delta=p + 2)
-            yield trial, g, g.max_degree + 2 * p - 1
-        else:
-            kind = trial % 3
-            if kind == 0:
-                g = make_random_tree(size, spec.seed * 1000003 + trial)
-            elif kind == 1:
-                g = make_star(max(1, size - 1))
-            else:
-                g = make_path(size)
-            yield trial, g, g.max_degree + 2 * p
+def _hunt_graph(conjecture: str, spec: ExperimentSpec, trial: int, p: int):
+    """Hunt trial `trial` at p: its graph and list size, or None for a size
+    the outerplanar regime skips."""
+    size = spec.sizes[trial % len(spec.sizes)]
+    if conjecture == "outerplanar":
+        # the open regime: outerplanar with maximum degree at most p+2. A
+        # maximal outerplanar graph on n >= 3 vertices has degree sum 4n-6 and
+        # at least two vertices of degree 2, so at p=1 (maximum degree 3)
+        # 4n-6 <= 3n-2 leaves only n = 3 and 4
+        if size < 3 or (p == 1 and size > 4):
+            return None
+        g = mop_with_degree(size, spec.seed * 1000003 + trial, max_delta=p + 2)
+        return g, g.max_degree + 2 * p - 1
+    # a tree, star or path by trial; the star on `size` vertices has size-1 leaves
+    name = ("tree", "star", "path")[trial % 3]
+    g = FAMILIES[name].make(max(1, size - 1) if name == "star" else size, p, spec.seed, trial)
+    return g, g.max_degree + 2 * p
 
 
 def hunt_counterexamples(conjecture: str, spec: ExperimentSpec) -> Report:
@@ -429,25 +413,36 @@ def hunt_counterexamples(conjecture: str, spec: ExperimentSpec) -> Report:
     with its full certificate and failing the run so a human looks at it. A
     positive control (a star at one below its known choosability) checks
     that the witness machinery can actually find one.
+
+    As in run_property_suite, trials run outermost and the p values inside,
+    and the verdicts are reported in p-value order, then the control.
     """
     if conjecture not in ("general", "outerplanar"):
         raise ValueError("conjecture must be 'general' or 'outerplanar'")
     if any(p < 1 for p in spec.p_values):
         raise ValueError("the conjectured bounds need p >= 1")
     # trial t runs size t mod len(sizes); outerplanar hunts skip the sizes that
-    # _hunt_graphs skips, so each p must keep one
+    # _hunt_graph skips, so each p must keep one
     sizes = spec.sizes[: spec.trials]
     if conjecture == "outerplanar" and max(sizes) < 3:
         raise ValueError("an outerplanar hunt needs a size >= 3 among its trials")
     if conjecture == "outerplanar" and 1 in spec.p_values and not {3, 4} & set(sizes):
         raise ValueError("an outerplanar hunt at p=1 needs a size of 3 or 4 among its trials")
     report = Report(meta={"suite": "hunt", "conjecture": conjecture, **asdict(spec)})
-    for p in spec.p_values:
-        for trial, g, k in _hunt_graphs(conjecture, spec, p):
+    # by position in spec.p_values: that p value's verdicts
+    checks = [Report() for _ in spec.p_values]
+    for trial in range(spec.trials):
+        for at, p in enumerate(spec.p_values):
+            hunted = _hunt_graph(conjecture, spec, trial, p)
+            if hunted is None:
+                continue
+            g, k = hunted
             inst = f"hunt-{conjecture}-n{g.n:02d}-p{p}-t{trial:04d}"
             kind, witness = _hunt(report, inst, "hunt", g, p, k, spec.universe, spec.budget)
-            report.check(f"conjecture-{conjecture}-survives", inst, "exhausted", kind,
-                         certificate=witness)
+            checks[at].check(f"conjecture-{conjecture}-survives", inst, "exhausted", kind,
+                             certificate=witness)
+    for buffered in checks:
+        report.verdicts += buffered.verdicts
     # positive control: a star one list-slot below its known choosability
     control_n, control_p = 3, 2
     kind, _ = _hunt(report, "hunt-control-star", "hunt", make_star(control_n), control_p,

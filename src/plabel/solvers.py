@@ -16,6 +16,7 @@ import functools
 import heapq
 import itertools
 import json
+import random
 from dataclasses import dataclass
 from math import comb
 
@@ -428,15 +429,17 @@ def lp1_min_span(g: Graph, p: int) -> int:
 # --- normalized-assignment enumeration ----------------------------------------
 
 
-def element_automorphisms(g: Graph) -> list[tuple[int, ...]]:
+@functools.lru_cache(maxsize=1)
+def element_automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Element-index permutations induced by graph automorphisms.
 
     Element i is vertex i of the once-subdivided graph. Brute force over
     vertex permutations; beyond _AUTOMORPHISM_MAX_VERTICES only the identity
-    is returned (enumeration callers are desk-scale anyway).
+    is returned (enumeration callers are desk-scale anyway). The last graph's
+    group is kept, so every p of a hunt trial shares it.
     """
     if g.n > _AUTOMORPHISM_MAX_VERTICES:
-        return [tuple(range(g.n + g.m))]
+        return (tuple(range(g.n + g.m)),)
     edge_at = _edge_positions(g)
     edges = g.sorted_edges()
     perms = []
@@ -449,7 +452,7 @@ def element_automorphisms(g: Graph) -> list[tuple[int, ...]]:
             mapping.append(image)
         else:
             perms.append(tuple(mapping))
-    return perms
+    return tuple(perms)
 
 
 def _is_canonical(combo: tuple, perms) -> bool:
@@ -619,9 +622,7 @@ def find_bad_assignment(
             "exhausted", p, k, universe, g6, checked, budget=budget, mode=mode,
             complete=not budget_hit and not stats["capped"],
         )
-    import random as _random
-
-    rng = _random.Random(f"witness:{seed}")
+    rng = random.Random(f"witness:{seed}")
     elems = elements_of(g)
     while checked < budget:
         lists = {x: sorted(rng.sample(range(universe + 1), k)) for x in elems}

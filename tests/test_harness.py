@@ -1,6 +1,6 @@
 import json
 import random
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -24,7 +24,7 @@ from plabel.harness import (
     small_connected_graphs,
 )
 from plabel.labelling import Edge, Vertex, _elements, elements_of
-from plabel.solvers import SolveResult
+from plabel.solvers import SolveResult, element_automorphisms
 
 
 def test_spec_validation():
@@ -298,12 +298,19 @@ _PINNED_RUNS = {
                        policy="adversarial-search", budget=8))),
     "hunt-forced-witnesses": lambda mp: _forced_witnesses(
         mp, lambda: hunt_counterexamples("general", _GENERAL_HUNT)),
+    "hunt-general-p212": lambda mp: hunt_counterexamples(
+        "general", replace(_GENERAL_HUNT, p_values=(2, 1, 2))),
+    "props-tree-adversarial-search-p21": lambda mp: run_property_suite(ExperimentSpec(
+        family="tree", sizes=(4, 6), p_values=(2, 1), policy="adversarial-search", trials=6,
+        seed=3, budget=8)),
 }
 _PINNED_DIGESTS = {
     "hunt-forced-witnesses":
         "0af6aa330fea47c1a5ebec07d3630fd9ad889d6c6d29f693c91d590c05ad22b6",
     "hunt-general":
         "8426c46f53b6175027cc6413bd15837b5424cecbe8d6c093c5658792d1d9a7a9",
+    "hunt-general-p212":
+        "5e74de4d4af10b63932f948f791ba023d51277ad76ab3938439b2bca96065f99",
     "hunt-outerplanar":
         "1ba8ba13659029d55dc7e48a85e1838666c389a4a16ae1169b9d4f7804cc7591",
     "oracle":
@@ -332,6 +339,8 @@ _PINNED_DIGESTS = {
         "7bceb78dcbebece700c29e7dbae88040ab46e8c1f8750462e360ca85efb27093",
     "props-tree-adversarial-search":
         "8c1560a3348a165e6d51ba05a759460ab59530b081d2504ead6861c1565177c8",
+    "props-tree-adversarial-search-p21":
+        "cd8f1067f7d83aaa3c463c87adb3f56350802f347c9b5beb1cc363cd42ac38a0",
     "props-tree-full-range":
         "470fbe04c396127cdcd89c7492bb70a78a5dd82168eebe0f6358925082c496c8",
     "props-tree-random-k":
@@ -359,7 +368,8 @@ def _p_major_property_suite(spec):
     report = h.Report(meta={"suite": "props", **asdict(spec)})
     for p in spec.p_values:
         failures = violations = full_resolves = 0
-        for trial, size, inst, g, k in h._trials(spec, p):
+        for trial in range(spec.trials):
+            size, inst, g, k = h._instance(spec, p, trial)
             rng = h._rng(spec.seed, spec.family, size, p, trial)
             if spec.policy == "full-range":
                 lists = h.full_lists(g, range(k))
@@ -389,6 +399,61 @@ def _p_major_property_suite(spec):
         report.check(f"{spec.family}-zero-failures-p{p}", summary, 0, failures)
         report.check(f"{spec.family}-zero-research-events-p{p}", summary, 0,
                      violations + full_resolves)
+    return report
+
+
+def _p_major_adversarial_suite(spec):
+    # the adversarial-search property suite with the loop over p outermost
+    import plabel.harness as h
+
+    report = h.Report(meta={"suite": "props", **asdict(spec)})
+    for p in spec.p_values:
+        witnesses = 0
+        for trial in range(spec.trials):
+            _, inst, g, k = h._instance(spec, p, trial)
+            kind, witness = h._hunt(report, inst, spec.family, g, p, k, spec.universe, spec.budget)
+            if witness is not None:
+                witnesses += 1
+                report.check(f"{spec.family}-guarantee-adversarial", inst, "exhausted", kind,
+                             certificate=witness)
+        report.check(f"{spec.family}-zero-witnesses-p{p}", f"props-{spec.family}-p{p}", 0,
+                     witnesses)
+    return report
+
+
+def _p_major_hunt_graphs(conjecture, spec, p):
+    # each hunt trial at p, with the graphs made directly rather than from FAMILIES
+    for trial in range(spec.trials):
+        size = spec.sizes[trial % len(spec.sizes)]
+        if conjecture == "outerplanar":
+            if size < 3 or (p == 1 and size > 4):
+                continue
+            g = mop_with_degree(size, spec.seed * 1000003 + trial, max_delta=p + 2)
+            yield trial, g, g.max_degree + 2 * p - 1
+        else:
+            kind = trial % 3
+            if kind == 0:
+                g = make_random_tree(size, spec.seed * 1000003 + trial)
+            elif kind == 1:
+                g = make_star(max(1, size - 1))
+            else:
+                g = make_path(size)
+            yield trial, g, g.max_degree + 2 * p
+
+
+def _p_major_hunt(conjecture, spec):
+    # the witness hunt with the loop over p outermost and the control last
+    import plabel.harness as h
+
+    report = h.Report(meta={"suite": "hunt", "conjecture": conjecture, **asdict(spec)})
+    for p in spec.p_values:
+        for trial, g, k in _p_major_hunt_graphs(conjecture, spec, p):
+            inst = f"hunt-{conjecture}-n{g.n:02d}-p{p}-t{trial:04d}"
+            kind, witness = h._hunt(report, inst, "hunt", g, p, k, spec.universe, spec.budget)
+            report.check(f"conjecture-{conjecture}-survives", inst, "exhausted", kind,
+                         certificate=witness)
+    kind, _ = h._hunt(report, "hunt-control-star", "hunt", make_star(3), 2, 4, None, spec.budget)
+    report.check("witness-machinery-control", "hunt-control-star", "lower-witness", kind)
     return report
 
 
@@ -433,3 +498,64 @@ def test_every_p_of_a_trial_reuses_its_graph():
     info = make_random_tree.cache_info()
     assert (info.misses, info.hits) == (6, 12)
     assert _elements.cache_info().misses == 6
+
+
+@pytest.mark.parametrize("family", sorted(_ORDER_SPECS))
+def test_trial_major_adversarial_suite_matches_the_p_major_loop(family):
+    sizes, orders = _ORDER_SPECS[family]
+    for p_values in orders:
+        spec = ExperimentSpec(family=family, sizes=sizes, p_values=p_values,
+                              policy="adversarial-search", trials=4, seed=11, budget=8)
+        assert _report_text(run_property_suite(spec)) == \
+            _report_text(_p_major_adversarial_suite(spec)), p_values
+
+
+# per conjecture: sizes, then p values sorted, repeated and unsorted; at p=1 the
+# outerplanar hunt skips its sizes above 4
+_HUNT_ORDER_SPECS = {
+    "general": ((3, 4, 5), ((1, 2, 3), (2, 2), (3, 1), (2,))),
+    "outerplanar": ((3, 5, 4, 6), ((1,), (2,), (1, 2), (2, 1, 2), (3, 1))),
+}
+
+
+@pytest.mark.parametrize("conjecture", sorted(_HUNT_ORDER_SPECS))
+def test_trial_major_hunt_matches_the_p_major_loop(conjecture):
+    sizes, orders = _HUNT_ORDER_SPECS[conjecture]
+    for p_values in orders:
+        spec = ExperimentSpec(family="hunt", sizes=sizes, p_values=p_values, trials=6, seed=7,
+                              budget=10)
+        assert _report_text(hunt_counterexamples(conjecture, spec)) == \
+            _report_text(_p_major_hunt(conjecture, spec)), p_values
+
+
+_WITNESS_SPEC = ExperimentSpec(family="tree", sizes=(3, 4), p_values=(2, 1, 2), trials=4, seed=3,
+                               policy="adversarial-search", budget=8)
+
+
+@pytest.mark.parametrize("run, reference", [
+    (lambda: run_property_suite(_WITNESS_SPEC), lambda: _p_major_adversarial_suite(_WITNESS_SPEC)),
+    (lambda: hunt_counterexamples("general", replace(_GENERAL_HUNT, p_values=(2, 1))),
+     lambda: _p_major_hunt("general", replace(_GENERAL_HUNT, p_values=(2, 1)))),
+], ids=["props", "hunt"])
+def test_forced_witnesses_match_the_p_major_loop(monkeypatch, run, reference):
+    report = _forced_witnesses(monkeypatch, run)
+    assert not report.ok
+    assert any("certificate" in v for v in report.verdicts)
+    assert _report_text(report) == _report_text(_forced_witnesses(monkeypatch, reference))
+
+
+_SIX_TRIALS = {"sizes": (5, 6, 7), "p_values": (1, 2, 3), "trials": 6, "seed": 0}
+
+
+@pytest.mark.parametrize("run, misses", [
+    (lambda: hunt_counterexamples("general", ExperimentSpec(family="hunt", **_SIX_TRIALS)), 7),
+    (lambda: run_property_suite(ExperimentSpec(family="tree", policy="adversarial-search",
+                                               **_SIX_TRIALS)), 6),
+], ids=["hunt", "props"])
+def test_every_p_of_a_trial_shares_its_automorphisms(run, misses):
+    # 18 hunts (and the hunt's control) on one group per trial
+    element_automorphisms.cache_clear()
+    run()
+    assert element_automorphisms.cache_info().misses == misses
+    perms = element_automorphisms(make_path(3))
+    assert type(perms) is tuple and all(type(pm) is tuple for pm in perms)

@@ -273,7 +273,7 @@ def test_exhausted_certificate_replays():
     assert ok, detail
 
 
-def test_solver_counts_nodes_and_time():
+def test_solver_counts_nodes():
     result = solve_span(make_star(3), 2, 4)
     assert result.nodes > 0
 
