@@ -45,10 +45,11 @@ class Graph:
     Edges are stored as pairs (u, v) with u < v; adjacency lists are sorted
     tuples. Values are safe to share between threads once constructed.
     Connectivity is not an invariant; callers that need it ask is_connected().
-    The sorted edge list is built on first use and kept.
+    The sorted edge list is built on first use and kept; the maximum degree
+    is computed once, on construction.
     """
 
-    __slots__ = ("n", "edges", "adj", "_sorted_edges")
+    __slots__ = ("n", "edges", "adj", "_sorted_edges", "_max_degree")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -68,6 +69,7 @@ class Graph:
             neigh[v].append(u)
         self.adj = tuple(tuple(sorted(a)) for a in neigh)
         self._sorted_edges = None
+        self._max_degree = max(map(len, self.adj), default=0)
 
     @property
     def m(self) -> int:
@@ -78,7 +80,7 @@ class Graph:
 
     @property
     def max_degree(self) -> int:
-        return max(map(len, self.adj), default=0)
+        return self._max_degree
 
     @property
     def min_degree(self) -> int:

@@ -127,19 +127,41 @@ def _search(values, near, domains, neqs, seps, p: int, groups):
     unassigned partners (more first) and then element order; all
     deterministic. Value order: ascending color. The degree tie-break matters
     in practice: without it some dense two-dozen-element instances thrash
-    through millions of nodes. A heap holds the keys, each packed into one
-    int that sorts as (size, -unassigned partners, element) would, and gets
-    new ones as domains and partners change; stale entries are skipped when
-    they reach the top, and the heap is rebuilt once it holds more than
-    4*elements+64 entries, so its memory stays linear.
+    through millions of nodes.
+
+    The state is flat, so a node allocates no list or tuple: the stack is
+    three int lists (element, untried colors as a mask, trail mark), and the
+    trail one int list of (element, prior mask) pairs, taken back from its
+    end down to the mark and cut there. live[i] counts i's unassigned
+    partners and open_s[i] its unassigned separation partners.
 
     The caller has already passed every group through _group_test at the
     root (see _solve); the search checks, after each assignment, the groups
-    that contain the assigned element. The check removes no value, so it
-    changes neither the order of the search nor its answer; it only cuts
-    subtrees that hold no solution. The search runs on an explicit stack, so
-    its depth is not bounded by Python's recursion limit. It changes the
-    domains list in place.
+    that contain the assigned element var. The contract: a group centred at
+    c is (c, seps[c]), the model's own tuple, and its members are pairwise
+    partners; so the groups holding var are its own and those of its
+    separation partners that are centres. Only a group with two or more
+    unassigned elements is checked. One with fewer cannot fail: forward
+    checking has made its assigned members distinct singletons, each at
+    least p from the centre's color when that is assigned, and its one open
+    element, if any, was pruned by all of them, so a color of it passes.
+    The check removes no value, so it changes neither the order of the
+    search nor its answer; it only cuts subtrees that hold no solution.
+
+    A heap holds the keys, each packed into one int that sorts as (size,
+    -unassigned partners, element) would, re-keyed lazily under the
+    invariant that every unassigned element has an entry at or below its
+    true key; so the least entry whose key is true is the least true key,
+    and the order is that of a heap kept exact. A placement lowers only the
+    keys of the partners it pruned, which are pushed (the trail after the
+    mark); taking a color back lowers its partners' keys only until the
+    next color is placed, so var and its partners are pushed once var's
+    colors run out. A surfacing entry is dropped if its element is
+    assigned, replaced by the true key if it is lower, and selects its
+    element if it is true. The heap is rebuilt from the true keys once it
+    holds more than 4*elements+64 entries, so its memory stays linear. The
+    search runs on an explicit stack, so its depth is not bounded by
+    Python's recursion limit. It changes the domains list in place.
     """
     fails = _group_test(domains, near, p)
     count = len(domains)
@@ -147,104 +169,112 @@ def _search(values, near, domains, neqs, seps, p: int, groups):
         return [], 0
     assigned: list[int | None] = [None] * count
     live = [len(a) + len(b) for a, b in zip(neqs, seps)]
+    open_s = [*map(len, seps)]
+    centred = dict(groups)  # at p = 0 _lp1_model leaves some neighbourhoods out
     # key = size << sb | (top - live) << ib | i orders as (size, -live, i) does
     ib = count.bit_length()
     top = max(live)
     sb, imask = ib + top.bit_length(), (1 << ib) - 1
     heap = [domains[i].bit_count() << sb | (top - live[i]) << ib | i for i in range(count)]
     heapq.heapify(heap)
-    heap_cap, heappush = 4 * count + 64, heapq.heappush
-    # a one-member group can fail only at the root: once either end is
-    # placed, forward checking has left the other end only compatible colors
-    groups_of: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(count)]
-    for group in groups:
-        center, members = group
-        if len(members) > 1:
-            groups_of[center].append(group)
-            for j in members:
-                groups_of[j].append(group)
+    heap_cap = 4 * count + 64
+    heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
 
     nodes = 0
-    first = heap[0] & imask
-    # frame: [element, its untried colors as a mask, trail of the color whose
-    # subtree is being searched (each changed domain's prior mask), or None
-    # before the first color]
-    stack = [[first, domains[first], None]]
-    while stack:
-        frame = stack[-1]
-        var, rest, trail = frame
-        while True:
-            if trail is not None:  # take back the last color: it failed, or its subtree did
-                for j, dom in trail:
-                    domains[j] = dom
-                for j in neqs[var]:
-                    live[j] += 1
-                for j in seps[var]:
-                    live[j] += 1
-                assigned[var] = None
-                trail = None
-            if not rest:
-                break
-            low = rest & -rest
-            rest ^= low
-            nodes += 1
-            # place var at the color of bit low and prune its unassigned
-            # partners; once a domain is empty the rest are only counted
-            at = low.bit_length() - 1
-            assigned[var] = values[at]
-            trail = [(var, domains[var])]
-            domains[var] = low
-            ok = True
-            other = ~low
+    trail: list[int] = []
+    # the ancestors' frames: element, untried colors, trail mark
+    var_at: list[int] = []
+    rest_at: list[int] = []
+    mark_at: list[int] = []
+    var = heap[0] & imask
+    rest, mark = domains[var], 0
+    while True:
+        if len(trail) > mark:  # take back var's color: it failed, or its subtree did
+            for t in range(len(trail) - 2, mark - 1, -2):
+                domains[trail[t]] = trail[t + 1]
+            del trail[mark:]
             for j in neqs[var]:
-                live[j] -= 1
-                if ok and assigned[j] is None:
-                    dom = domains[j]
-                    kept = dom & other
-                    if kept != dom:
-                        trail.append((j, dom))
-                        domains[j] = kept
-                        ok = kept != 0
-            apart = ~near[at]
+                live[j] += 1
             for j in seps[var]:
-                live[j] -= 1
-                if ok and assigned[j] is None:
-                    dom = domains[j]
-                    kept = dom & apart
-                    if kept != dom:
-                        trail.append((j, dom))
-                        domains[j] = kept
-                        ok = kept != 0
-            if ok:
-                for center, members in groups_of[var]:
-                    if fails(center, members):
-                        break
-                else:
-                    break
-        # the keys that changed: var's partners' and, once it is unplaced, var's
-        for partners in (neqs[var], seps[var], (var,)):
-            for j in partners:
+                live[j] += 1
+                open_s[j] += 1
+            assigned[var] = None
+        if not rest:  # var and its partners are open again, and their keys may have fallen
+            if not var_at:
+                return None, nodes
+            heappush(heap, domains[var].bit_count() << sb | (top - live[var]) << ib | var)
+            for j in neqs[var]:
                 if assigned[j] is None:
                     heappush(heap, domains[j].bit_count() << sb | (top - live[j]) << ib | j)
-        if trail is None:  # no color of var is left
-            stack.pop()
+            for j in seps[var]:
+                if assigned[j] is None:
+                    heappush(heap, domains[j].bit_count() << sb | (top - live[j]) << ib | j)
+            var, rest, mark = var_at.pop(), rest_at.pop(), mark_at.pop()
             continue
-        frame[1:] = rest, trail
-        if len(heap) > heap_cap:
-            heap = [domains[i].bit_count() << sb | (top - live[i]) << ib | i
-                    for i in range(count) if assigned[i] is None]
-            heapq.heapify(heap)
-        while heap:
-            key = heap[0]
-            i = key & imask
-            if assigned[i] is None and key == (
-                    domains[i].bit_count() << sb | (top - live[i]) << ib | i):
+        low = rest & -rest
+        rest ^= low
+        nodes += 1
+        # place var at the color of bit low and prune its unassigned
+        # partners; once a domain is empty the rest are only counted
+        at = low.bit_length() - 1
+        assigned[var] = values[at]
+        trail.append(var)
+        trail.append(domains[var])
+        domains[var] = low
+        ok = True
+        other = ~low
+        for j in neqs[var]:
+            live[j] -= 1
+            if ok and assigned[j] is None:
+                dom = domains[j]
+                kept = dom & other
+                if kept != dom:
+                    trail.append(j)
+                    trail.append(dom)
+                    domains[j] = kept
+                    ok = kept != 0
+        apart = ~near[at]
+        for j in seps[var]:
+            live[j] -= 1
+            open_s[j] -= 1
+            if ok and assigned[j] is None:
+                dom = domains[j]
+                kept = dom & apart
+                if kept != dom:
+                    trail.append(j)
+                    trail.append(dom)
+                    domains[j] = kept
+                    ok = kept != 0
+        if not ok or open_s[var] > 1 and var in centred and fails(var, seps[var]):
+            continue
+        for c in seps[var]:
+            if open_s[c] + (assigned[c] is None) > 1 and c in centred and fails(c, seps[c]):
                 break
-            heapq.heappop(heap)
         else:
-            return list(assigned), nodes
-        stack.append([i, domains[i], None])
-    return None, nodes
+            # var keeps this color: only the partners it pruned have lower keys
+            for t in range(mark + 2, len(trail), 2):
+                j = trail[t]
+                heappush(heap, domains[j].bit_count() << sb | (top - live[j]) << ib | j)
+            if len(heap) > heap_cap:
+                heap = [domains[i].bit_count() << sb | (top - live[i]) << ib | i
+                        for i in range(count) if assigned[i] is None]
+                heapq.heapify(heap)
+            while heap:
+                key = heap[0]
+                i = key & imask
+                if assigned[i] is not None:
+                    heappop(heap)
+                    continue
+                fresh = domains[i].bit_count() << sb | (top - live[i]) << ib | i
+                if key == fresh:
+                    break
+                heapreplace(heap, fresh)
+            else:
+                return list(assigned), nodes
+            var_at.append(var)
+            rest_at.append(rest)
+            mark_at.append(mark)
+            var, rest, mark = i, domains[i], len(trail)
 
 
 @functools.lru_cache(maxsize=1)
@@ -259,8 +289,10 @@ def _lp1_model(g: Graph, p: int):
 
     The groups are the (w, N(w)) pairs whose members must take pairwise
     distinct colors. Two neighbours of w are at distance two, or adjacent and
-    so at least p >= 1 apart. At p = 0 adjacent neighbours may share a color,
-    so a neighbourhood that holds an edge is left out. The model is returned
+    so at least p >= 1 apart, so they are partners. At p = 0 adjacent
+    neighbours may share a color, so a neighbourhood that holds an edge is
+    left out. A group's members are seps[w] itself, the one tuple, as
+    _search requires. The model is returned
     as tuples and kept for the next call on an equal graph and the same p,
     so the steps of a min-span scan share one.
     """
@@ -288,8 +320,10 @@ def _total_model(g: Graph):
     (seps[w], their positions); an edge j = (u, v) must differ from the
     other edges at u, then those at v, and lie p away from its ends
     (seps[j] = (u, v)). The groups are each vertex with its edges and each
-    edge with its ends; no two members of one are adjacent, so none depends
-    on p. Kept for the next call on an equal graph."""
+    edge with its ends; their members are seps[c] itself, the one tuple, and
+    pairwise inequality partners, as _search requires. No two members of a
+    group are adjacent, so none depends on p. Kept for the next call on an
+    equal graph."""
     n, edges = g.n, g.sorted_edges()
     at: list[list[int]] = [[] for _ in range(n)]
     for j, (u, v) in enumerate(edges, n):
@@ -320,7 +354,7 @@ def _solve(domains, p: int, largest: int, model):
     members decides them all, and its refutation returns before model() is
     called. Otherwise the model is built, distinct domains take the test of
     every group, and _search runs when all pass; it builds its own state
-    (partner counts, heap, groups by element), so a root refutation takes
+    (partner counts, heap, group centres), so a root refutation takes
     0 nodes and builds none of it.
     """
     shared = _shared(domains)
@@ -429,14 +463,16 @@ def lp1_min_span(g: Graph, p: int) -> int:
 # --- normalized-assignment enumeration ----------------------------------------
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=3)
 def element_automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Element-index permutations induced by graph automorphisms.
 
     Element i is vertex i of the once-subdivided graph. Brute force over
     vertex permutations; beyond _AUTOMORPHISM_MAX_VERTICES only the identity
-    is returned (enumeration callers are desk-scale anyway). The last graph's
-    group is kept, so every p of a hunt trial shares it.
+    is returned (enumeration callers are desk-scale anyway). The last three
+    graphs' groups are kept, so every p of a hunt trial shares one, and a
+    general hunt, whose trials cycle tree, star and path, keeps its star's
+    and its path's across the cycle.
     """
     if g.n > _AUTOMORPHISM_MAX_VERTICES:
         return (tuple(range(g.n + g.m)),)

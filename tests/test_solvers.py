@@ -1,12 +1,15 @@
+import heapq
 import itertools
 import json
 import random
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from plabel import solvers
 from plabel.graphs import (
     Graph,
     incidence_graph,
@@ -825,3 +828,66 @@ def test_packed_keys_on_vertex_labellings(n, p, k):
         domains = [range(k + 1)] * g.n
         assert _root_first(domains, neqs, seps, p, groups) == tuple_keyed_search(
             domains, _pairs(neqs, seps), p, groups)
+
+
+@pytest.mark.parametrize("n,seed,p,k,labelled", [(6, 15, 3, 7, True), (8, 22, 3, 7, False)])
+def test_heap_rebuilds_keep_the_tuple_keyed_order(monkeypatch, n, seed, p, k, labelled):
+    # the lazily keyed heap outgrows 4*elements+64 entries here and is rebuilt
+    # from the true keys; the search must still visit the former search's nodes
+    g = make_random_maximal_outerplanar(n, seed)
+    neqs, seps, groups = _total_model(g)
+    domains = [range(k + 1)] * (g.n + g.m)
+    heapifies = []
+    real = heapq.heapify
+    monkeypatch.setattr(heapq, "heapify", lambda heap: heapifies.append(len(heap)) or real(heap))
+    mine = _root_first(domains, neqs, seps, p, groups)
+    monkeypatch.undo()
+    assert len(heapifies) > 1  # the first builds the heap, each later one rebuilds it
+    assert (mine[0] is not None) == labelled
+    assert mine == tuple_keyed_search(domains, _pairs(neqs, seps), p, groups)
+
+
+def test_search_state_stays_small_on_a_long_path():
+    # the 600-vertex path is searched 1,199 nodes deep with no backtrack; its
+    # stack and trail are flat int lists (tracemalloc peak about 320 kB), and
+    # a list per frame and per trail and a tuple per pruned partner would
+    # take the peak past 600 kB
+    g = make_path(600)
+    neqs, seps, groups = _total_model(g)
+    encoded = _color_masks([range(5)] * (g.n + g.m), 2)
+    tracemalloc.start()
+    try:
+        assignment, nodes = _search(*encoded, neqs, seps, 2, groups)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert assignment is not None and nodes == 1199
+    assert peak < 450_000
+
+
+def test_search_checks_only_groups_with_two_open_elements(monkeypatch):
+    # a group with at most one unassigned element cannot fail after forward
+    # checking, so the search skips it; it checks the others, the assigned
+    # element's own group among them. The wrapper reads the search's state
+    # from its frame at each check.
+    checks = []
+
+    def recording(domains, near, p):
+        fails = real(domains, near, p)
+
+        def wrapped(center, members):
+            search = sys._getframe(1).f_locals
+            unassigned = sum(search["assigned"][x] is None for x in (center, *members))
+            checks.append((unassigned, center == search["var"]))
+            return fails(center, members)
+
+        return wrapped
+
+    real = solvers._group_test
+    g = _MOP10_DELTA6
+    neqs, seps, groups = _total_model(g)
+    domains = [range(9)] * (g.n + g.m)
+    expected = _search(*_color_masks(domains, 3), neqs, seps, 3, groups)
+    monkeypatch.setattr(solvers, "_group_test", recording)
+    assert _search(*_color_masks(domains, 3), neqs, seps, 3, groups) == expected
+    assert min(checks)[0] == 2 and (2, True) in checks and (2, False) in checks
