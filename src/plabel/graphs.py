@@ -136,13 +136,12 @@ def incidence_graph(g: Graph) -> IncidenceMap:
     """Replace every edge by a path of length 2.
 
     Base vertices keep their indices; subdivision vertices are numbered
-    n..n+m-1 in lexicographic order of the base edges, so the construction
-    is deterministic.
+    n..n+m-1 in the order of g.sorted_edges(), the order in which the
+    element positions hold the edges, so the construction is deterministic.
     """
     derived_edges = []
     edge_image = {}
-    for idx, (u, v) in enumerate(sorted(g.edges)):
-        w = g.n + idx
+    for w, (u, v) in enumerate(g.sorted_edges(), g.n):
         edge_image[(u, v)] = w
         derived_edges.append((u, w))
         derived_edges.append((w, v))

@@ -78,8 +78,9 @@ class SolveResult:
 def _group_test(domains, near, p: int):
     """The neighbourhood check on the encoded domains, as fails(center, members).
 
-    Each group is a (center, members) pair whose members must take pairwise
-    distinct colors, each at least p away from the center's. A group fails
+    A group is an element c that has separation partners, with members
+    seps[c]: the model's contract (see _solve) is that they must take
+    pairwise distinct colors, each at least p away from c's. A group fails
     when its members' domains hold fewer colors than it has members, or when
     every candidate color of the center leaves too few of them. The check
     reads the domains list as it is at each call, so a search that changes
@@ -115,7 +116,7 @@ def _group_test(domains, near, p: int):
     return fails
 
 
-def _search(values, near, domains, neqs, seps, p: int, groups):
+def _search(values, near, domains, neqs, seps, p: int):
     """Backtracking with forward checking; returns (assignment | None, nodes).
 
     values, near and domains are _color_masks's encoding: each domain is an
@@ -137,11 +138,11 @@ def _search(values, near, domains, neqs, seps, p: int, groups):
 
     The caller has already passed every group through _group_test at the
     root (see _solve); the search checks, after each assignment, the groups
-    that contain the assigned element var. The contract: a group centred at
-    c is (c, seps[c]), the model's own tuple, and its members are pairwise
-    partners; so the groups holding var are its own and those of its
-    separation partners that are centres. Only a group with two or more
-    unassigned elements is checked. One with fewer cannot fail: forward
+    that contain the assigned element var. A group is (c, seps[c]) for each
+    c with separation partners, and separation is symmetric, so the groups
+    holding var are its own and those of its separation partners. Only a
+    group with two or more unassigned elements is checked; open_s[c] > 1
+    already means that c has partners. One with fewer cannot fail: forward
     checking has made its assigned members distinct singletons, each at
     least p from the centre's color when that is assigned, and its one open
     element, if any, was pruned by all of them, so a color of it passes.
@@ -170,7 +171,6 @@ def _search(values, near, domains, neqs, seps, p: int, groups):
     assigned: list[int | None] = [None] * count
     live = [len(a) + len(b) for a, b in zip(neqs, seps)]
     open_s = [*map(len, seps)]
-    centred = dict(groups)  # at p = 0 _lp1_model leaves some neighbourhoods out
     # key = size << sb | (top - live) << ib | i orders as (size, -live, i) does
     ib = count.bit_length()
     top = max(live)
@@ -245,10 +245,10 @@ def _search(values, near, domains, neqs, seps, p: int, groups):
                     trail.append(dom)
                     domains[j] = kept
                     ok = kept != 0
-        if not ok or open_s[var] > 1 and var in centred and fails(var, seps[var]):
+        if not ok or open_s[var] > 1 and fails(var, seps[var]):
             continue
         for c in seps[var]:
-            if open_s[c] + (assigned[c] is None) > 1 and c in centred and fails(c, seps[c]):
+            if open_s[c] + (assigned[c] is None) > 1 and fails(c, seps[c]):
                 break
         else:
             # var keeps this color: only the partners it pruned have lower keys
@@ -279,51 +279,41 @@ def _search(values, near, domains, neqs, seps, p: int, groups):
 
 @functools.lru_cache(maxsize=1)
 def _lp1_model(g: Graph, p: int):
-    """The (neqs, seps, groups) of g's vertex labelling, built in one pass.
+    """The (neqs, seps) of g's vertex labelling, built in one pass.
 
     neqs[v] holds the vertices at distance exactly two from v, which must
     take colors other than v's, linked through each common neighbour in
     turn; seps[v] is g.adj[v], the vertices whose colors must lie at least p
     from v's. Which kind the search prunes first changes neither its nodes
-    nor its answer.
-
-    The groups are the (w, N(w)) pairs whose members must take pairwise
-    distinct colors. Two neighbours of w are at distance two, or adjacent and
-    so at least p >= 1 apart, so they are partners. At p = 0 adjacent
-    neighbours may share a color, so a neighbourhood that holds an edge is
-    left out. A group's members are seps[w] itself, the one tuple, as
-    _search requires. The model is returned
-    as tuples and kept for the next call on an equal graph and the same p,
-    so the steps of a min-span scan share one.
+    nor its answer. The contract of _solve holds at p >= 1: two neighbours
+    of v are at distance two, or adjacent and so at least p apart. At p = 0
+    adjacency constrains nothing, so no vertex has separation partners. The
+    model is returned as tuples and kept for the next call on an equal
+    graph and the same p, so the steps of a min-span scan share one.
     """
     neqs: list[list[int]] = [[] for _ in range(g.n)]
     seen = [{v, *members} for v, members in enumerate(g.adj)]  # linked or adjacent
-    groups = []
-    for w, members in enumerate(g.adj):
+    for members in g.adj:
         for a, b in itertools.combinations(members, 2):
             if b not in seen[a]:
                 seen[a].add(b)
                 seen[b].add(a)
                 neqs[a].append(b)
                 neqs[b].append(a)
-        if members and (p > 0 or not any(
-                g.has_edge(a, b) for a, b in itertools.combinations(members, 2))):
-            groups.append((w, members))
-    return tuple(map(tuple, neqs)), g.adj, tuple(groups)
+    return tuple(map(tuple, neqs)), g.adj if p else ((),) * g.n
 
 
 @functools.lru_cache(maxsize=1)
 def _total_model(g: Graph):
     """_lp1_model of the once-subdivided graph, read off g in one pass over
-    its sorted edges: (neqs, seps, groups) as tuples. A vertex w must differ
-    from its neighbours (neqs[w] is g.adj[w]) and lie p away from its edges
+    its sorted edges: (neqs, seps) as tuples. A vertex w must differ from
+    its neighbours (neqs[w] is g.adj[w]) and lie p away from its edges
     (seps[w], their positions); an edge j = (u, v) must differ from the
     other edges at u, then those at v, and lie p away from its ends
-    (seps[j] = (u, v)). The groups are each vertex with its edges and each
-    edge with its ends; their members are seps[c] itself, the one tuple, and
-    pairwise inequality partners, as _search requires. No two members of a
-    group are adjacent, so none depends on p. Kept for the next call on an
-    equal graph."""
+    (seps[j] = (u, v)). The contract of _solve holds at every p: the
+    members of seps[c] are edges at one vertex, or the two ends of an edge,
+    so they are inequality partners. Kept for the next call on an equal
+    graph."""
     n, edges = g.n, g.sorted_edges()
     at: list[list[int]] = [[] for _ in range(n)]
     for j, (u, v) in enumerate(edges, n):
@@ -337,37 +327,37 @@ def _total_model(g: Graph):
         others.remove(j)
         others.remove(j)
         neqs.append(tuple(others))
-    groups = (*((w, ends) for w, ends in enumerate(seps[:n]) if ends), *enumerate(edges, n))
-    return tuple(neqs), seps, groups
+    return tuple(neqs), seps
 
 
 def _solve(domains, p: int, largest: int, model):
-    """Root-first labelling from the domains under the (neqs, seps, groups)
-    that model() returns; largest is the member count of the largest group.
+    """Root-first labelling from the domains under the (neqs, seps) that
+    model() returns; largest is the member count of the largest group.
     Returns (assignment | None, nodes).
 
-    The domains are encoded once with _color_masks, and the groups are
-    checked at the root by _group_test, which reads only the masks and the
-    groups. When every domain is one shared object, every group of d
-    members sees the same colors, so its verdict depends on d alone, and a
-    larger d only leaves fewer spare colors: one test of a group of largest
-    members decides them all, and its refutation returns before model() is
-    called. Otherwise the model is built, distinct domains take the test of
-    every group, and _search runs when all pass; it builds its own state
-    (partner counts, heap, group centres), so a root refutation takes
-    0 nodes and builds none of it.
+    The model's contract: when c has separation partners, (c, seps[c]) is a
+    group, and its members must take pairwise distinct colors. The domains
+    are encoded once with _color_masks, and the groups are checked at the
+    root by _group_test, which reads only the masks and the groups. When
+    every domain is one shared object, every group of d members sees the
+    same colors, so its verdict depends on d alone, and a larger d only
+    leaves fewer spare colors: one test of a group of largest members
+    decides them all, and its refutation returns before model() is called.
+    Otherwise the model is built, distinct domains take the test of every
+    group, and _search runs when all pass; it builds its own state (partner
+    counts, heap), so a root refutation takes 0 nodes and builds none of it.
     """
     shared = _shared(domains)
     values, near, masks = _color_masks(domains, p, shared)
     fails = _group_test(masks, near, p)
     if shared and largest and fails(0, (0,) * largest):
         return None, 0
-    neqs, seps, groups = model()
+    neqs, seps = model()
     if not shared:
-        for center, members in groups:
-            if fails(center, members):
+        for c, members in enumerate(seps):
+            if members and fails(c, members):
                 return None, 0
-    return _search(values, near, masks, neqs, seps, p, groups)
+    return _search(values, near, masks, neqs, seps, p)
 
 
 def solve_list(g: Graph, p: int, lists) -> SolveResult:
@@ -377,7 +367,8 @@ def solve_list(g: Graph, p: int, lists) -> SolveResult:
     position (vertex v at v, the j-th sorted edge at n+j), as check_lists
     takes them. The search runs on _total_model(g), the once-subdivided
     graph's model read off g, and keeps each domain as a bitmask over the
-    colors in all lists. The neighbourhood check runs first, so lists it
+    colors in all lists. The neighbourhood check runs first, on each
+    element's group of separation partners (see _solve), so lists it
     refutes cost no search state. When every element has the same list
     object (solve_span's range, full_lists), the check is one test of the
     largest group, a vertex with its Delta edges or an edge with its two
@@ -407,9 +398,8 @@ def lp1_solve_span(g: Graph, p: int, k: int) -> SolveResult:
     """Vertex labelling into {0..k}: adjacent >= p apart, distance-2 distinct."""
     if p < 0 or k < 0:
         raise ValueError("p and k must be non-negative")
-    model = _lp1_model(g, p)
-    largest = max((len(members) for _, members in model[2]), default=0)
-    assignment, nodes = _solve([range(k + 1)] * g.n, p, largest, lambda: model)
+    largest = g.max_degree if p else 0  # at p = 0 _lp1_model has no groups
+    assignment, nodes = _solve([range(k + 1)] * g.n, p, largest, lambda: _lp1_model(g, p))
     if assignment is None:
         return SolveResult(None, nodes)
     labels = dict(enumerate(assignment))

@@ -346,10 +346,15 @@ def test_path3_choosability_settled_by_witness_search():
     assert min_span(g, 2) == 4
 
 
-def _root_first(domains, neqs, seps, p, groups):
+def _root_first(domains, neqs, seps, p):
     """The solvers' root-first entry on a prebuilt model: (assignment | None, nodes)."""
-    largest = max((len(members) for _, members in groups), default=0)
-    return _solve(domains, p, largest, lambda: (neqs, seps, groups))
+    largest = max(map(len, seps), default=0)
+    return _solve(domains, p, largest, lambda: (neqs, seps))
+
+
+def _groups(seps):
+    """The (center, members) groups of a model: each element with its separation partners."""
+    return [(c, members) for c, members in enumerate(seps) if members]
 
 
 def _pairs(neqs, seps):
@@ -357,11 +362,27 @@ def _pairs(neqs, seps):
     return [[(j, False) for j in a] + [(j, True) for j in b] for a, b in zip(neqs, seps)]
 
 
-def _rescanning_search(domains, cons, p):
+def _rescanning_search(domains, cons, p, groups):
     """Reference for the search order: recursive, rescanning every element
-    for the smallest (domain size, -unassigned partners, index) at each node."""
+    for the smallest (domain size, -unassigned partners, index) at each node.
+    After forward checking, every group that holds the placed element is
+    tested on color sets: its members' colors must outnumber them, and some
+    color of the center must leave enough of them at least p away."""
     assigned = [None] * len(domains)
     nodes = 0
+    holding = [[] for _ in domains]
+    for center, members in groups:
+        for x in {center, *members}:
+            holding[x].append((center, members))
+
+    def colors_of(x):
+        return domains[x] if assigned[x] is None else {assigned[x]}
+
+    def group_fails(center, members):
+        colors = set().union(*map(colors_of, members))
+        spare = len(colors) - len(members)
+        return spare < 0 or all(
+            sum(abs(c - a) < p for c in colors) > spare for a in colors_of(center))
 
     def extend():
         nonlocal nodes
@@ -382,7 +403,7 @@ def _rescanning_search(domains, cons, p):
                     if not domains[j]:
                         break
             else:
-                if extend():
+                if not any(group_fails(*group) for group in holding[best]) and extend():
                     return True
             for j, gone in removed:
                 domains[j] |= gone
@@ -401,14 +422,14 @@ _MOP7_DELTA6 = Graph(7, [
     (_MOP10_DELTA6, 2, 6), (_MOP10_DELTA6, 3, 8), (_MOP7_DELTA6, 2, 6), (_C5, 1, 2),
 ])
 def test_search_order_matches_rescanning_reference(g, p, k):
-    # without groups the heap-kept order must visit exactly the reference's
-    # nodes, backtracking included, and return the same answer
+    # the heap-kept order and the group checks must visit exactly the
+    # reference's nodes, backtracking included, and return the same answer
     derived = incidence_graph(g).derived
-    neqs, seps, _ = _lp1_model(derived, p)
+    neqs, seps = _lp1_model(derived, p)
     mine = _search(*_color_masks([set(range(k + 1)) for _ in range(derived.n)], p),
-                   neqs, seps, p, [])
+                   neqs, seps, p)
     assert mine == _rescanning_search(
-        [set(range(k + 1)) for _ in range(derived.n)], _pairs(neqs, seps), p)
+        [set(range(k + 1)) for _ in range(derived.n)], _pairs(neqs, seps), p, _groups(seps))
 
 
 def test_search_order_matches_rescanning_reference_on_random_lists():
@@ -424,10 +445,10 @@ def test_search_order_matches_rescanning_reference_on_random_lists():
         pool = sorted(rng.sample(range(low, low + 3 * width), width))
         lists = [set(rng.sample(pool, rng.randrange(1, width + 1))) for _ in range(g.n + g.m)]
         derived = incidence_graph(g).derived
-        neqs, seps, _ = _lp1_model(derived, p)
-        mine = _search(*_color_masks([set(colors) for colors in lists], p), neqs, seps, p, [])
+        neqs, seps = _lp1_model(derived, p)
+        mine = _search(*_color_masks([set(colors) for colors in lists], p), neqs, seps, p)
         assert mine == _rescanning_search(
-            [set(colors) for colors in lists], _pairs(neqs, seps), p), (g, p, lists)
+            [set(colors) for colors in lists], _pairs(neqs, seps), p, _groups(seps)), (g, p, lists)
         outcomes["refuted" if mine[0] is None else "labelled"] += 1
     assert min(outcomes.values()) >= 40, outcomes
 
@@ -451,17 +472,20 @@ def test_total_model_matches_the_subdivided_graph():
     graphs += [make_random_maximal_outerplanar(n, seed) for n in (3, 6, 12) for seed in range(3)]
     for g in graphs:
         derived = incidence_graph(g).derived
-        neqs, seps, groups = _total_model(g)
+        neqs, seps = _total_model(g)
         for p in range(4):
-            lp1_neqs, lp1_seps, lp1_groups = _lp1_model(derived, p)
-            assert _pairs(neqs, seps) == _pairs(lp1_neqs, lp1_seps), (g, p)
-            assert groups == lp1_groups, (g, p)
+            lp1_neqs, lp1_seps = _lp1_model(derived, p)
+            if p:
+                assert _pairs(neqs, seps) == _pairs(lp1_neqs, lp1_seps), (g, p)
+            else:  # no separation partners at p = 0
+                assert neqs == lp1_neqs and not any(lp1_seps), g
 
 
 def test_lp1_model_links_adjacent_and_distance_two_pairs():
-    # brute force: partners are the neighbours (separation) and the vertices
-    # at distance exactly two (inequality), once each, inequalities first; a
-    # group is a neighbourhood whose members must all take distinct colors
+    # brute force: partners are the neighbours (separation, at p >= 1 only)
+    # and the vertices at distance exactly two (inequality), once each,
+    # inequalities first; a group is a neighbourhood whose members must all
+    # take distinct colors
     rng = random.Random(13)
     graphs = [Graph(3, [(0, 1), (1, 2), (0, 2)]), Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
               Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]),
@@ -472,19 +496,41 @@ def test_lp1_model_links_adjacent_and_distance_two_pairs():
         graphs.append(Graph(n, rng.sample(pairs, rng.randrange(len(pairs) + 1))))
     for g in graphs:
         for p in range(3):
-            neqs, seps, groups = _lp1_model(g, p)
+            neqs, seps = _lp1_model(g, p)
             cons = _pairs(neqs, seps)
             for v in range(g.n):
                 near = set(g.adj[v])
                 far = {w for u in near for w in g.adj[u]} - near - {v}
-                expected = {(w, True) for w in near} | {(w, False) for w in far}
+                expected = {(w, True) for w in near if p} | {(w, False) for w in far}
                 assert len(cons[v]) == len(expected) and set(cons[v]) == expected, (g, v)
-                seps = [sep for _, sep in cons[v]]
-                assert seps == sorted(seps), (g, v)
+                kinds = [sep for _, sep in cons[v]]
+                assert kinds == sorted(kinds), (g, v)
+            if not p:  # no separation partners at p = 0
+                assert _groups(seps) == [], g
+                continue
             kept = [w for w in range(g.n) if g.adj[w] and all(
-                (b, False) in cons[a] or (p > 0 and (b, True) in cons[a])
+                (b, False) in cons[a] or (b, True) in cons[a]
                 for a, b in itertools.combinations(g.adj[w], 2))]
-            assert groups == tuple((w, g.adj[w]) for w in kept), (g, p)
+            assert _groups(seps) == [(w, g.adj[w]) for w in kept], (g, p)
+
+
+def test_separation_partners_are_groups_of_pairwise_partners():
+    # the contract of the search model: when c has separation partners, they
+    # must take pairwise distinct colors, so each two of them are inequality
+    # partners, or separation partners at p >= 1; and separation is
+    # symmetric, so the groups that hold an element are its own and those
+    # of its separation partners
+    def check(neqs, seps, p, label):
+        for c, members in enumerate(seps):
+            assert all(c in seps[x] for x in members), label
+            for a, b in itertools.combinations(members, 2):
+                assert b in neqs[a] or (p and b in seps[a]), (label, c, a, b)
+
+    for g in small_connected_graphs(5):
+        check(*_total_model(g), 0, g)
+        for h in (g, incidence_graph(g).derived):
+            for p in range(4):
+                check(*_lp1_model(h, p), p, (h, p))
 
 
 def _clear_models():
@@ -549,15 +595,15 @@ def test_refutation_below_degree_bound_ends_at_root(monkeypatch):
     # p-ball of any color of vertex 3; backtracking alone ran over 15 minutes
     # here. A span range shared by every element is decided by one test of
     # the largest group, read off g.adj, so neither the model nor any search
-    # state is built.
-    calls = _count_calls(monkeypatch, "_total_model", "_search")
+    # state is built; the vertex solver's largest group is read off g too.
+    calls = _count_calls(monkeypatch, "_total_model", "_lp1_model", "_search")
     assert _MOP12_DELTA8.max_degree == 8
     result = solve_span(_MOP12_DELTA8, 2, 8)
     assert not result.labelled and result.nodes == 0
-    assert calls == {"_total_model": 0, "_search": 0}
+    assert calls == {"_total_model": 0, "_lp1_model": 0, "_search": 0}
     result = lp1_solve_span(make_star(4), 2, 4)  # the center's 4 neighbours need 4 colors >= 2 away
     assert not result.labelled and result.nodes == 0
-    assert calls == {"_total_model": 0, "_search": 0}
+    assert calls == {"_total_model": 0, "_lp1_model": 0, "_search": 0}
 
 
 def test_distinct_lists_build_the_model_once_and_end_at_the_root(monkeypatch):
@@ -571,6 +617,20 @@ def test_distinct_lists_build_the_model_once_and_end_at_the_root(monkeypatch):
     assert not result.labelled and result.nodes == 0
     assert calls == {"_search": 0}
     assert _total_model.cache_info().misses == 1
+
+
+def test_a_one_member_group_refutes_at_the_root():
+    # vertex 0 of the edge 0-1 has the one color 0 and its edge the one color
+    # 1, less than p = 2 apart: the group of vertex 0 and its one edge fails,
+    # while the edge's group of both ends passes, so only the per-group loop
+    # over every group with a member refutes in 0 nodes
+    g = make_path(2)
+    lists = [{0}, {5, 6}, {1}]
+    neqs, seps = _total_model(g)
+    assert seps[0] == (2,) and seps[2] == (0, 1)
+    assert solve_list(g, 2, lists) == solvers.SolveResult(None, 0)
+    assert _root_first(lists, neqs, seps, 2) == tuple_keyed_search(
+        lists, _pairs(neqs, seps), 2, _groups(seps))
 
 
 def test_feasible_solves_build_the_partner_lists_once_per_graph(monkeypatch):
@@ -592,7 +652,7 @@ def test_one_group_verdict_matches_the_group_loop_on_stars():
     refuted = 0
     for d in range(1, 9):
         g = make_star(d)
-        groups = _total_model(g)[2]
+        groups = _groups(_total_model(g)[1])
         for colors in range(1, 9):
             for p in range(5):
                 shared = [range(colors)] * (g.n + g.m)
@@ -631,18 +691,19 @@ def test_shared_span_matches_distinct_ranges():
 
 
 def test_lp1_largest_group_leaves_out_neighbourhoods_with_an_edge():
-    # at p = 0 vertex 0's four neighbours hold the edge 1-2, so its group is
-    # left out: the largest group is vertex 5's three leaves, not Delta = 4.
+    # at p = 0 vertex 0's four neighbours hold the edge 1-2, so they need
+    # not take distinct colors; at p = 0 no vertex has separation partners,
+    # so no neighbourhood is a group, not even vertex 5's three leaves.
     # Three colors refute a four-member group but label the graph.
     g = Graph(9, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (5, 6), (5, 7), (5, 8)])
-    neqs, seps, groups = _lp1_model(g, 0)
-    assert g.max_degree == 4 and max(len(members) for _, members in groups) == 3
+    neqs, seps = _lp1_model(g, 0)
+    assert g.max_degree == 4 and not any(seps)  # no separation partners at p = 0
     values, near, masks = _color_masks([range(3)], 0)
     assert _group_test(masks, near, 0)(0, (0,) * g.max_degree)
     mine = lp1_solve_span(g, 0, 2)
     assert mine.labelled
     # distinct ranges take the per-group loop, which reads no largest size
-    theirs = _solve([range(3) for _ in range(g.n)], 0, None, lambda: (neqs, seps, groups))
+    theirs = _solve([range(3) for _ in range(g.n)], 0, None, lambda: (neqs, seps))
     assert list(mine.labelling.values()) == theirs[0] and mine.nodes == theirs[1]
     assert not lp1_solve_span(g, 0, 1).labelled
 
@@ -702,7 +763,7 @@ def test_lp1_at_p0_on_graphs_with_triangles_matches_brute_force():
     # holds a triangle edge must not be checked for distinct colors
     graphs = _TRIANGLES + [make_fan(4), make_fan(5)] + [
         make_random_maximal_outerplanar(n, s) for n in (5, 6) for s in range(2)
-    ]
+    ] + small_connected_graphs(5)
     for g in graphs:
         for k in range(g.max_degree + 1):
             assert lp1_solve_span(g, 0, k).labelled == _brute_lp1_labelled(g, 0, k), (g.edges, k)
@@ -774,9 +835,10 @@ def test_search_matches_the_tuple_keyed_search():
     outcomes = {"labelled": 0, "root": 0, "searched": 0}
     for _ in range(2000):
         g, p, domains = _frozen_instance(rng)
-        neqs, seps, groups = _total_model(g)
-        mine = _root_first(domains, neqs, seps, p, groups)
-        assert mine == tuple_keyed_search(domains, _pairs(neqs, seps), p, groups), (g, p, domains)
+        neqs, seps = _total_model(g)
+        mine = _root_first(domains, neqs, seps, p)
+        assert mine == tuple_keyed_search(
+            domains, _pairs(neqs, seps), p, _groups(seps)), (g, p, domains)
         if mine[0] is not None:
             outcomes["labelled"] += 1
         else:
@@ -789,10 +851,10 @@ def test_search_matches_the_tuple_keyed_search_on_vertex_labellings():
     for _ in range(300):
         g, p, _ = _frozen_instance(rng)
         k = rng.randrange(max(1, p + g.max_degree - 2), p + g.max_degree + 2)
-        neqs, seps, groups = _lp1_model(g, p)
+        neqs, seps = _lp1_model(g, p)
         domains = [range(k)] * g.n
-        mine = _root_first(domains, neqs, seps, p, groups)
-        assert mine == tuple_keyed_search(domains, _pairs(neqs, seps), p, groups), (g, p, k)
+        mine = _root_first(domains, neqs, seps, p)
+        assert mine == tuple_keyed_search(domains, _pairs(neqs, seps), p, _groups(seps)), (g, p, k)
 
 
 _C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -812,10 +874,10 @@ _C8 = Graph(8, [(i, (i + 1) % 8) for i in range(8)])
     (_C8, 3, 5, ([0, 1, 0, 1, 0, 1, 0, 1, 4, 5, 5, 4, 5, 4, 5, 4], 20)),
 ])
 def test_packed_keys_at_the_edges(g, p, k, expected):
-    neqs, seps, groups = _total_model(g)
+    neqs, seps = _total_model(g)
     domains = [range(k + 1)] * (g.n + g.m)
-    mine = _root_first(domains, neqs, seps, p, groups)
-    assert mine == tuple_keyed_search(domains, _pairs(neqs, seps), p, groups)
+    mine = _root_first(domains, neqs, seps, p)
+    assert mine == tuple_keyed_search(domains, _pairs(neqs, seps), p, _groups(seps))
     assert mine == expected
 
 
@@ -824,10 +886,10 @@ def test_packed_keys_on_vertex_labellings(n, p, k):
     # paths of a power-of-two vertex count, and a star whose largest partner
     # count (3) fills its field
     for g in (make_path(n), make_star(3)):
-        neqs, seps, groups = _lp1_model(g, p)
+        neqs, seps = _lp1_model(g, p)
         domains = [range(k + 1)] * g.n
-        assert _root_first(domains, neqs, seps, p, groups) == tuple_keyed_search(
-            domains, _pairs(neqs, seps), p, groups)
+        assert _root_first(domains, neqs, seps, p) == tuple_keyed_search(
+            domains, _pairs(neqs, seps), p, _groups(seps))
 
 
 @pytest.mark.parametrize("n,seed,p,k,labelled", [(6, 15, 3, 7, True), (8, 22, 3, 7, False)])
@@ -835,16 +897,16 @@ def test_heap_rebuilds_keep_the_tuple_keyed_order(monkeypatch, n, seed, p, k, la
     # the lazily keyed heap outgrows 4*elements+64 entries here and is rebuilt
     # from the true keys; the search must still visit the former search's nodes
     g = make_random_maximal_outerplanar(n, seed)
-    neqs, seps, groups = _total_model(g)
+    neqs, seps = _total_model(g)
     domains = [range(k + 1)] * (g.n + g.m)
     heapifies = []
     real = heapq.heapify
     monkeypatch.setattr(heapq, "heapify", lambda heap: heapifies.append(len(heap)) or real(heap))
-    mine = _root_first(domains, neqs, seps, p, groups)
+    mine = _root_first(domains, neqs, seps, p)
     monkeypatch.undo()
     assert len(heapifies) > 1  # the first builds the heap, each later one rebuilds it
     assert (mine[0] is not None) == labelled
-    assert mine == tuple_keyed_search(domains, _pairs(neqs, seps), p, groups)
+    assert mine == tuple_keyed_search(domains, _pairs(neqs, seps), p, _groups(seps))
 
 
 def test_search_state_stays_small_on_a_long_path():
@@ -853,11 +915,11 @@ def test_search_state_stays_small_on_a_long_path():
     # a list per frame and per trail and a tuple per pruned partner would
     # take the peak past 600 kB
     g = make_path(600)
-    neqs, seps, groups = _total_model(g)
+    neqs, seps = _total_model(g)
     encoded = _color_masks([range(5)] * (g.n + g.m), 2)
     tracemalloc.start()
     try:
-        assignment, nodes = _search(*encoded, neqs, seps, 2, groups)
+        assignment, nodes = _search(*encoded, neqs, seps, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -885,9 +947,9 @@ def test_search_checks_only_groups_with_two_open_elements(monkeypatch):
 
     real = solvers._group_test
     g = _MOP10_DELTA6
-    neqs, seps, groups = _total_model(g)
+    neqs, seps = _total_model(g)
     domains = [range(9)] * (g.n + g.m)
-    expected = _search(*_color_masks(domains, 3), neqs, seps, 3, groups)
+    expected = _search(*_color_masks(domains, 3), neqs, seps, 3)
     monkeypatch.setattr(solvers, "_group_test", recording)
-    assert _search(*_color_masks(domains, 3), neqs, seps, 3, groups) == expected
+    assert _search(*_color_masks(domains, 3), neqs, seps, 3) == expected
     assert min(checks)[0] == 2 and (2, True) in checks and (2, False) in checks
