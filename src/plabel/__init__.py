@@ -30,7 +30,6 @@ from .graphs import (
     IncidenceMap,
     emit_graph,
     incidence_graph,
-    make_fan,
     make_path,
     make_random_maximal_outerplanar,
     make_random_tree,
@@ -49,7 +48,6 @@ from .labelling import (
     pull_back_labelling,
     respects_lists,
     transport_labelling,
-    transport_lists,
 )
 from .solvers import (
     Certificate,

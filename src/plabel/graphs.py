@@ -13,7 +13,6 @@ __all__ = [
     "incidence_graph",
     "make_path",
     "make_star",
-    "make_fan",
     "make_random_tree",
     "make_random_maximal_outerplanar",
     "parse_graph",
@@ -81,10 +80,6 @@ class Graph:
     @property
     def max_degree(self) -> int:
         return self._max_degree
-
-    @property
-    def min_degree(self) -> int:
-        return min(map(len, self.adj), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
@@ -170,15 +165,6 @@ def make_star(n: int) -> Graph:
     if n < 1:
         raise ValueError("a star needs at least one leaf")
     return Graph(n + 1, [(0, i) for i in range(1, n + 1)])
-
-
-def make_fan(n: int) -> Graph:
-    """Hub 0 joined to every vertex of the path 1-2-...-n."""
-    if n < 1:
-        raise ValueError("a fan needs at least one rim vertex")
-    edges = [(0, i) for i in range(1, n + 1)]
-    edges += [(i, i + 1) for i in range(1, n)]
-    return Graph(n + 1, edges)
 
 
 @lru_cache(maxsize=1)

@@ -33,8 +33,6 @@ __all__ = [
     "lp1_is_valid",
     "transport_labelling",
     "pull_back_labelling",
-    "transport_lists",
-    "pull_back_lists",
     "full_lists",
     "check_lists",
     "labelling_to_json",
@@ -283,40 +281,24 @@ def lp1_is_valid(g: Graph, p: int, labels: dict) -> ValidationReport:
 # --- transport along an incidence map ---------------------------------------
 
 
-def _to_derived(im: IncidenceMap, values: dict, copy) -> dict:
-    """Re-key values by derived vertex. The i-th element of the base graph, in
-    element order, is derived vertex i: incidence_graph keeps every vertex
-    index and numbers the subdivision vertex of the j-th sorted edge n+j."""
-    position = {x: i for i, x in enumerate(elements_of(im.base))}
-    return {position[x]: copy(value) for x, value in values.items()}
-
-
-def _to_base(im: IncidenceMap, values: dict, copy) -> dict:
-    elems = elements_of(im.base)
-    out: dict = {}
-    for w, value in values.items():
-        if not (isinstance(w, int) and 0 <= w < len(elems)):
-            raise ValueError(f"derived vertex {w} has no preimage")
-        out[elems[w]] = copy(value)
-    return out
-
-
 def transport_labelling(im: IncidenceMap, labelling: dict) -> dict:
-    """Carry element colors of the base graph onto derived vertices."""
-    return _to_derived(im, labelling, lambda color: color)
+    """Carry element colors of the base graph onto derived vertices. The i-th
+    element of the base graph, in element order, is derived vertex i:
+    incidence_graph keeps every vertex index and numbers the subdivision
+    vertex of the j-th sorted edge n+j."""
+    position = {x: i for i, x in enumerate(elements_of(im.base))}
+    return {position[x]: color for x, color in labelling.items()}
 
 
 def pull_back_labelling(im: IncidenceMap, labels: dict) -> dict:
     """Inverse of transport_labelling; together they form a bijection."""
-    return _to_base(im, labels, lambda color: color)
-
-
-def transport_lists(im: IncidenceMap, lists: dict) -> dict:
-    return _to_derived(im, lists, set)
-
-
-def pull_back_lists(im: IncidenceMap, vlists: dict) -> dict:
-    return _to_base(im, vlists, set)
+    elems = elements_of(im.base)
+    out: dict = {}
+    for w, color in labels.items():
+        if not (isinstance(w, int) and 0 <= w < len(elems)):
+            raise ValueError(f"derived vertex {w} has no preimage")
+        out[elems[w]] = color
+    return out
 
 
 # --- list-assignment helpers -------------------------------------------------

@@ -7,7 +7,8 @@ distance-two constraints; a (p,1)-total instance is such an instance on
 the once-subdivided graph, whose constraints are read off the graph itself.
 The search keeps its own stack, so long inputs are not limited by Python's
 recursion depth. On top of it sit the minimum span by an upward scan and
-exhaustive / budgeted searches over normalized list assignments.
+one witness loop, behind every choosability certificate, over normalized
+or seeded random list assignments.
 """
 
 from __future__ import annotations
@@ -278,18 +279,17 @@ def _search(values, near, domains, neqs, seps, p: int):
 
 
 @functools.lru_cache(maxsize=1)
-def _lp1_model(g: Graph, p: int):
+def _lp1_model(g: Graph):
     """The (neqs, seps) of g's vertex labelling, built in one pass.
 
     neqs[v] holds the vertices at distance exactly two from v, which must
     take colors other than v's, linked through each common neighbour in
     turn; seps[v] is g.adj[v], the vertices whose colors must lie at least p
     from v's. Which kind the search prunes first changes neither its nodes
-    nor its answer. The contract of _solve holds at p >= 1: two neighbours
-    of v are at distance two, or adjacent and so at least p apart. At p = 0
-    adjacency constrains nothing, so no vertex has separation partners. The
-    model is returned as tuples and kept for the next call on an equal
-    graph and the same p, so the steps of a min-span scan share one.
+    nor its answer. The contract of _solve holds because the vertex solver
+    takes p >= 1: two neighbours of v are at distance two, or adjacent and
+    so at least p apart. The model is returned as tuples and kept for the
+    next call on an equal graph, so the steps of a min-span scan share one.
     """
     neqs: list[list[int]] = [[] for _ in range(g.n)]
     seen = [{v, *members} for v, members in enumerate(g.adj)]  # linked or adjacent
@@ -300,7 +300,7 @@ def _lp1_model(g: Graph, p: int):
                 seen[b].add(a)
                 neqs[a].append(b)
                 neqs[b].append(a)
-    return tuple(map(tuple, neqs)), g.adj if p else ((),) * g.n
+    return tuple(map(tuple, neqs)), g.adj
 
 
 @functools.lru_cache(maxsize=1)
@@ -395,11 +395,11 @@ def solve_span(g: Graph, p: int, k: int) -> SolveResult:
 
 
 def lp1_solve_span(g: Graph, p: int, k: int) -> SolveResult:
-    """Vertex labelling into {0..k}: adjacent >= p apart, distance-2 distinct."""
-    if p < 0 or k < 0:
-        raise ValueError("p and k must be non-negative")
-    largest = g.max_degree if p else 0  # at p = 0 _lp1_model has no groups
-    assignment, nodes = _solve([range(k + 1)] * g.n, p, largest, lambda: _lp1_model(g, p))
+    """Vertex labelling into {0..k}: adjacent >= p apart, distance-2 distinct.
+    Needs p >= 1, where each neighbourhood must take distinct colors."""
+    if p < 1 or k < 0:
+        raise ValueError("p must be positive and k non-negative")
+    assignment, nodes = _solve([range(k + 1)] * g.n, p, g.max_degree, lambda: _lp1_model(g))
     if assignment is None:
         return SolveResult(None, nodes)
     labels = dict(enumerate(assignment))
@@ -540,8 +540,12 @@ class Certificate:
     kind is one of "lower-witness" (an embedded k-assignment the complete
     solver cannot label), "upper-certified" (every normalized k-assignment
     from {0..universe} was labelled), or "exhausted" (budgeted search ended
-    without a witness). The universe bound is always recorded because no
-    universe reduction is known for these searches.
+    without a witness). The universe bound is always recorded. Gap
+    compression, which shrinks every gap of at least max(p, 1) between the
+    colors in use to max(p, 1) and keeps their order and every distance below
+    p, maps any k-assignment on N elements to one from {0..(N*k - 1)*max(p, 1)}
+    with the same verdict; so an upper certificate whose universe reaches that
+    bound holds for every universe, and one below it only for its own.
     """
 
     kind: str
@@ -604,6 +608,53 @@ class Certificate:
         )
 
 
+def _checked_universe(k: int, universe: int | None) -> int:
+    """The universe of a witness search, 2k unless given; it must hold a k-list."""
+    if k < 1:
+        raise ValueError("list size k must be at least 1")
+    universe = 2 * k if universe is None else universe
+    if universe < k - 1:
+        raise ValueError("universe too small to hold a k-list")
+    return universe
+
+
+def _random_assignments(g: Graph, k: int, universe: int, seed: int):
+    """Endless seeded k-subsets of {0..universe}, one per element, shifted so
+    that the least color in use is 0."""
+    rng = random.Random(f"witness:{seed}")
+    elems = elements_of(g)
+    while True:
+        lists = {x: sorted(rng.sample(range(universe + 1), k)) for x in elems}
+        shift = min((min(v) for v in lists.values()), default=0)
+        yield {x: set(c - shift for c in v) for x, v in lists.items()}
+
+
+def _witness_search(g: Graph, p: int, k: int, universe: int, budget: int | None = None,
+                    mode: str = "lex", seed: int | None = None) -> Certificate:
+    """Solve the mode's assignments in turn, at most budget of them (all when
+    None): a lower witness for the first that no labelling respects, else an
+    exhaustion record, complete only when the lex walk ran out within the
+    budget and below _RAW_SCAN_CAP (the random draws never run out). The
+    budget is tested on the next assignment, so a lex walk whose length is
+    exactly the budget is complete."""
+    stats = {"capped": False}
+    assignments = (_normalized_assignments(g, k, universe, stats) if mode == "lex"
+                   else _random_assignments(g, k, universe, seed))
+    g6 = emit_graph6(g)
+    checked, complete = 0, False
+    for lists in assignments:
+        if checked == budget:
+            break
+        checked += 1
+        if not solve_list(g, p, lists).labelled:
+            return Certificate("lower-witness", p, k, universe, g6, checked, assignment=lists,
+                               budget=budget, mode=mode, seed=seed)
+    else:
+        complete = not stats["capped"]
+    return Certificate("exhausted", p, k, universe, g6, checked, budget=budget, mode=mode,
+                       seed=seed, complete=complete)
+
+
 def find_bad_assignment(
     g: Graph,
     p: int,
@@ -620,49 +671,12 @@ def find_bad_assignment(
     order; random mode draws seeded k-subsets and shift-normalizes them.
     Returns a lower-witness certificate on success, else an exhaustion record.
     """
-    if k < 1:
-        raise ValueError("list size k must be at least 1")
-    universe = 2 * k if universe is None else universe
-    if universe < k - 1:
-        raise ValueError("universe too small to hold a k-list")
+    universe = _checked_universe(k, universe)
     if budget <= 0:
         raise ValueError("budget must be positive")
     if mode not in ("lex", "random"):
         raise ValueError(f"unknown search mode {mode!r}")
-    g6 = emit_graph6(g)
-    checked = 0
-    if mode == "lex":
-        stats = {"capped": False}
-        budget_hit = False
-        for lists in _normalized_assignments(g, k, universe, stats=stats):
-            if checked >= budget:
-                budget_hit = True
-                break
-            checked += 1
-            if not solve_list(g, p, lists).labelled:
-                return Certificate(
-                    "lower-witness", p, k, universe, g6, checked, assignment=lists,
-                    budget=budget, mode=mode,
-                )
-        return Certificate(
-            "exhausted", p, k, universe, g6, checked, budget=budget, mode=mode,
-            complete=not budget_hit and not stats["capped"],
-        )
-    rng = random.Random(f"witness:{seed}")
-    elems = elements_of(g)
-    while checked < budget:
-        lists = {x: sorted(rng.sample(range(universe + 1), k)) for x in elems}
-        shift = min((min(v) for v in lists.values()), default=0)
-        lists = {x: set(c - shift for c in v) for x, v in lists.items()}
-        checked += 1
-        if not solve_list(g, p, lists).labelled:
-            return Certificate(
-                "lower-witness", p, k, universe, g6, checked, assignment=lists,
-                budget=budget, mode=mode, seed=seed,
-            )
-    return Certificate(
-        "exhausted", p, k, universe, g6, checked, budget=budget, mode=mode, seed=seed,
-    )
+    return _witness_search(g, p, k, universe, budget, mode, seed if mode == "random" else None)
 
 
 def certify_choosable(g: Graph, p: int, k: int, universe: int | None = None) -> Certificate:
@@ -670,14 +684,11 @@ def certify_choosable(g: Graph, p: int, k: int, universe: int | None = None) -> 
 
     Upper-certified means every normalized k-assignment was labelled; the
     certificate records the universe bound and the normalization rules, since
-    the claim is only as strong as the universe swept. Refuses instances
-    whose raw enumeration would be too large.
+    below the gap-compression bound (see Certificate) the claim holds only
+    for the universe swept. Refuses instances whose raw enumeration would be
+    too large.
     """
-    if k < 1:
-        raise ValueError("list size k must be at least 1")
-    universe = 2 * k if universe is None else universe
-    if universe < k - 1:
-        raise ValueError("universe too small to hold a k-list")
+    universe = _checked_universe(k, universe)
     n_elems = g.n + g.m
     if n_elems > _CERTIFY_MAX_ELEMENTS:
         raise InstanceTooLarge(f"refusing exhaustive certification: {n_elems} elements, "
@@ -688,15 +699,10 @@ def certify_choosable(g: Graph, p: int, k: int, universe: int | None = None) -> 
             f"refusing exhaustive certification: {n_elems} elements with {per_element} "
             f"candidate lists each, more than the {_RAW_SCAN_CAP} raw assignments it sweeps"
         )
-    g6 = emit_graph6(g)
-    checked = 0
-    for lists in _normalized_assignments(g, k, universe):
-        checked += 1
-        if not solve_list(g, p, lists).labelled:
-            return Certificate(
-                "lower-witness", p, k, universe, g6, checked, assignment=lists,
-            )
-    return Certificate("upper-certified", p, k, universe, g6, checked, complete=True)
+    cert = _witness_search(g, p, k, universe)
+    if cert.kind == "exhausted":
+        cert.kind = "upper-certified"
+    return cert
 
 
 def recheck_certificate(cert: Certificate) -> tuple[bool, str]:

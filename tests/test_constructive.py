@@ -24,7 +24,6 @@ from plabel.constructive import (
 )
 from plabel.graphs import (
     Graph,
-    make_fan,
     make_path,
     make_random_maximal_outerplanar,
     make_random_tree,
@@ -243,7 +242,7 @@ def test_one_greedy_matches_the_former_walk_and_dfs():
     trees = [_relabelled(make_random_tree(n, n), rng) for n in range(1, 51)]
     others = [Graph(0), Graph(2), make_star(3), Graph(3, [(0, 1), (1, 2), (0, 2)]),
               Graph(4, [(0, 1), (2, 3)]), Graph(5, [(0, 1), (1, 2), (2, 0), (3, 4)]),
-              _relabelled(make_fan(5), rng)]
+              _relabelled(_fan(5), rng)]
     assert sum(g.n > 1 and min(v for v in range(g.n) if g.degree(v) == 1) > 0
                for g in paths) >= 30
     pairs = ((label_path_greedy, _walk_path, lambda g, p: 2 * p + 1),
@@ -447,7 +446,7 @@ def test_star_span_large_p_delegates():
 
 def test_configurations_on_small_families():
     assert find_configuration(make_path(4)) == Leaf(0, 1)
-    assert find_configuration(make_fan(4)) == C2(1, 2, 0)
+    assert find_configuration(_fan(4)) == C2(1, 2, 0)
     c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     assert find_configuration(c4) == C1(0, 1)
     with pytest.raises(ValueError):
@@ -524,6 +523,11 @@ def _rescan_reductions(adj: dict):
             del adj[a]
 
 
+def _fan(n: int) -> Graph:
+    """Hub 0 joined to every vertex of the path 1-2-...-n."""
+    return Graph(n + 1, [(0, i) for i in range(1, n + 1)] + [(i, i + 1) for i in range(1, n)])
+
+
 def _disjoint_union(*graphs) -> Graph:
     edges, n = [], 0
     for h in graphs:
@@ -536,7 +540,7 @@ def _scan_inputs():
     rng = random.Random(SEED + 12)
     for n in range(3, 41):
         yield Graph(n, [(i, j) for i in range(n) for j in (i + 1, i + 2) if j < n])  # zig-zag strip
-        yield make_fan(n)
+        yield _fan(n)
         yield make_random_tree(n, n)
         for seed in range(3):
             mop = make_random_maximal_outerplanar(n, seed)
@@ -545,7 +549,7 @@ def _scan_inputs():
             yield mop_with_degree(n, seed, max_delta=5)
             ends = rng.sample(range(n), 3)
             yield Graph(n + 3, [*mop.edges, *((v, n + i) for i, v in enumerate(ends))])
-        yield _disjoint_union(make_random_maximal_outerplanar(n, 7), make_fan(4),
+        yield _disjoint_union(make_random_maximal_outerplanar(n, 7), _fan(4),
                               make_random_tree(5, n), Graph(2))
 
 

@@ -12,7 +12,6 @@ from plabel.graphs import (
     emit_graph,
     emit_graph6,
     incidence_graph,
-    make_fan,
     make_path,
     make_random_maximal_outerplanar,
     make_random_tree,
@@ -37,7 +36,7 @@ def test_graph_equality_and_degrees():
     g = Graph(4, [(0, 1), (1, 2)])
     assert g == Graph(4, [(1, 2), (1, 0)])
     assert g != Graph(5, [(0, 1), (1, 2)])
-    assert g.degree(1) == 2 and g.max_degree == 2 and g.min_degree == 0
+    assert g.degree(1) == 2 and g.max_degree == 2 and min(map(len, g.adj)) == 0
     assert not g.is_connected()
     assert make_path(4).is_connected()
 
@@ -65,7 +64,12 @@ def test_incidence_of_triangle_is_sixcycle():
     assert d.is_connected()
 
 
-@pytest.mark.parametrize("maker,arg", [(make_path, 6), (make_star, 5), (make_fan, 5)])
+def _fan(n: int) -> Graph:
+    """Hub 0 joined to every vertex of the path 1-2-...-n."""
+    return Graph(n + 1, [(0, i) for i in range(1, n + 1)] + [(i, i + 1) for i in range(1, n)])
+
+
+@pytest.mark.parametrize("maker,arg", [(make_path, 6), (make_star, 5), (_fan, 5)])
 def test_incidence_counts(maker, arg):
     g = maker(arg)
     im = incidence_graph(g)
@@ -90,7 +94,7 @@ def test_incidence_max_degree_for_trees():
 
 def test_make_path_and_star_shapes():
     p5 = make_path(5)
-    assert p5.m == 4 and p5.max_degree == 2 and p5.min_degree == 1
+    assert p5.m == 4 and p5.max_degree == 2 and min(map(len, p5.adj)) == 1
     s3 = make_star(3)
     assert sorted(s3.degree(v) for v in range(4)) == [1, 1, 1, 3]
     assert s3.degree(0) == 3
@@ -98,12 +102,6 @@ def test_make_path_and_star_shapes():
         make_path(0)
     with pytest.raises(ValueError):
         make_star(0)
-
-
-def test_fan_shape():
-    f = make_fan(4)
-    assert f.degree(0) == 4
-    assert f.degree(1) == 2 and f.degree(2) == 3
 
 
 def test_random_tree_is_deterministic_tree():
@@ -118,7 +116,7 @@ def test_random_maximal_outerplanar():
     for n, seed in [(3, 0), (6, 1), (14, 9)]:
         g, cycle = graphs._grow_by_ears(n, random.Random(f"mop:{n}:{seed}"))
         assert g.m == 2 * n - 3
-        assert g.min_degree == 2
+        assert min(map(len, g.adj)) == 2
         assert g == make_random_maximal_outerplanar(n, seed)
         # the maintained outer cycle really is a Hamiltonian cycle
         assert sorted(cycle) == list(range(n))
@@ -208,4 +206,4 @@ def test_sorted_edges_is_kept_and_handed_out_as_a_fresh_list():
     first.clear()  # a caller's list is its own
     assert g.sorted_edges() == sorted(g.edges) and g.sorted_edges() is not g.sorted_edges()
     assert g == Graph(4, g.edges) and hash(g) == hash(Graph(4, g.edges))
-    assert Graph(0).sorted_edges() == [] and Graph(0).max_degree == Graph(0).min_degree == 0
+    assert Graph(0).sorted_edges() == [] and Graph(0).max_degree == 0

@@ -30,10 +30,8 @@ from plabel.labelling import (
     lp1_is_valid,
     p_ball,
     pull_back_labelling,
-    pull_back_lists,
     respects_lists,
     transport_labelling,
-    transport_lists,
 )
 
 
@@ -273,10 +271,6 @@ def test_transport_round_trip_and_example():
     assert lp1_is_valid(im.derived, 2, labels).ok
     assert pull_back_labelling(im, labels) == c
     assert transport_labelling(im, {}) == {}
-    lists = {Vertex(0): {0, 1}, Vertex(1): {2}, Edge(0, 1): {5, 6}}
-    assert pull_back_lists(im, transport_lists(im, lists)) == {
-        x: set(v) for x, v in lists.items()
-    }
 
 
 def _all_labellings(elems, colors):

@@ -13,7 +13,6 @@ from plabel import solvers
 from plabel.graphs import (
     Graph,
     incidence_graph,
-    make_fan,
     make_path,
     make_random_maximal_outerplanar,
     make_random_tree,
@@ -425,7 +424,7 @@ def test_search_order_matches_rescanning_reference(g, p, k):
     # the heap-kept order and the group checks must visit exactly the
     # reference's nodes, backtracking included, and return the same answer
     derived = incidence_graph(g).derived
-    neqs, seps = _lp1_model(derived, p)
+    neqs, seps = _lp1_model(derived)
     mine = _search(*_color_masks([set(range(k + 1)) for _ in range(derived.n)], p),
                    neqs, seps, p)
     assert mine == _rescanning_search(
@@ -445,7 +444,7 @@ def test_search_order_matches_rescanning_reference_on_random_lists():
         pool = sorted(rng.sample(range(low, low + 3 * width), width))
         lists = [set(rng.sample(pool, rng.randrange(1, width + 1))) for _ in range(g.n + g.m)]
         derived = incidence_graph(g).derived
-        neqs, seps = _lp1_model(derived, p)
+        neqs, seps = _lp1_model(derived)
         mine = _search(*_color_masks([set(colors) for colors in lists], p), neqs, seps, p)
         assert mine == _rescanning_search(
             [set(colors) for colors in lists], _pairs(neqs, seps), p, _groups(seps)), (g, p, lists)
@@ -471,47 +470,36 @@ def test_total_model_matches_the_subdivided_graph():
     graphs += [make_random_tree(n, seed) for n in (2, 7, 15) for seed in range(3)]
     graphs += [make_random_maximal_outerplanar(n, seed) for n in (3, 6, 12) for seed in range(3)]
     for g in graphs:
-        derived = incidence_graph(g).derived
-        neqs, seps = _total_model(g)
-        for p in range(4):
-            lp1_neqs, lp1_seps = _lp1_model(derived, p)
-            if p:
-                assert _pairs(neqs, seps) == _pairs(lp1_neqs, lp1_seps), (g, p)
-            else:  # no separation partners at p = 0
-                assert neqs == lp1_neqs and not any(lp1_seps), g
+        assert _pairs(*_total_model(g)) == _pairs(*_lp1_model(incidence_graph(g).derived)), g
 
 
 def test_lp1_model_links_adjacent_and_distance_two_pairs():
-    # brute force: partners are the neighbours (separation, at p >= 1 only)
-    # and the vertices at distance exactly two (inequality), once each,
-    # inequalities first; a group is a neighbourhood whose members must all
-    # take distinct colors
+    # brute force: partners are the neighbours (separation) and the vertices
+    # at distance exactly two (inequality), once each, inequalities first; a
+    # group is a neighbourhood whose members must all take distinct colors
     rng = random.Random(13)
+    fan = Graph(6, [(0, i) for i in range(1, 6)] + [(i, i + 1) for i in range(1, 5)])
     graphs = [Graph(3, [(0, 1), (1, 2), (0, 2)]), Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
               Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]),
-              Graph(4, list(itertools.combinations(range(4), 2))), make_fan(5), Graph(0)]
+              Graph(4, list(itertools.combinations(range(4), 2))), fan, Graph(0)]
     for _ in range(60):
         n = rng.randrange(1, 9)
         pairs = list(itertools.combinations(range(n), 2))
         graphs.append(Graph(n, rng.sample(pairs, rng.randrange(len(pairs) + 1))))
     for g in graphs:
-        for p in range(3):
-            neqs, seps = _lp1_model(g, p)
-            cons = _pairs(neqs, seps)
-            for v in range(g.n):
-                near = set(g.adj[v])
-                far = {w for u in near for w in g.adj[u]} - near - {v}
-                expected = {(w, True) for w in near if p} | {(w, False) for w in far}
-                assert len(cons[v]) == len(expected) and set(cons[v]) == expected, (g, v)
-                kinds = [sep for _, sep in cons[v]]
-                assert kinds == sorted(kinds), (g, v)
-            if not p:  # no separation partners at p = 0
-                assert _groups(seps) == [], g
-                continue
-            kept = [w for w in range(g.n) if g.adj[w] and all(
-                (b, False) in cons[a] or (b, True) in cons[a]
-                for a, b in itertools.combinations(g.adj[w], 2))]
-            assert _groups(seps) == [(w, g.adj[w]) for w in kept], (g, p)
+        neqs, seps = _lp1_model(g)
+        cons = _pairs(neqs, seps)
+        for v in range(g.n):
+            near = set(g.adj[v])
+            far = {w for u in near for w in g.adj[u]} - near - {v}
+            expected = {(w, True) for w in near} | {(w, False) for w in far}
+            assert len(cons[v]) == len(expected) and set(cons[v]) == expected, (g, v)
+            kinds = [sep for _, sep in cons[v]]
+            assert kinds == sorted(kinds), (g, v)
+        kept = [w for w in range(g.n) if g.adj[w] and all(
+            (b, False) in cons[a] or (b, True) in cons[a]
+            for a, b in itertools.combinations(g.adj[w], 2))]
+        assert _groups(seps) == [(w, g.adj[w]) for w in kept], g
 
 
 def test_separation_partners_are_groups_of_pairwise_partners():
@@ -519,7 +507,8 @@ def test_separation_partners_are_groups_of_pairwise_partners():
     # must take pairwise distinct colors, so each two of them are inequality
     # partners, or separation partners at p >= 1; and separation is
     # symmetric, so the groups that hold an element are its own and those
-    # of its separation partners
+    # of its separation partners. The total model serves every p, the vertex
+    # model p >= 1.
     def check(neqs, seps, p, label):
         for c, members in enumerate(seps):
             assert all(c in seps[x] for x in members), label
@@ -529,8 +518,7 @@ def test_separation_partners_are_groups_of_pairwise_partners():
     for g in small_connected_graphs(5):
         check(*_total_model(g), 0, g)
         for h in (g, incidence_graph(g).derived):
-            for p in range(4):
-                check(*_lp1_model(h, p), p, (h, p))
+            check(*_lp1_model(h), 1, h)
 
 
 def _clear_models():
@@ -546,10 +534,10 @@ def test_reused_model_gives_fresh_answers():
     calls = [(solve_span, star, 2, 4), (solve_span, star, 2, 3), (solve_span, mop, 2, 6),
              (lp1_solve_span, mop, 2, 6), (lp1_solve_span, mop, 2, 7),
              (solve_span, star, 2, 4), (solve_span, mop, 3, 8),
-             (lp1_solve_span, Graph(mop.n, mop.edges), 0, 5), (lp1_solve_span, mop, 2, 7),
+             (lp1_solve_span, Graph(mop.n, mop.edges), 1, 5), (lp1_solve_span, mop, 2, 7),
              (solve_span, Graph(mop.n, mop.edges), 0, 5), (solve_span, mop, 2, 7),
              (lp1_solve_span, star, 2, 3), (solve_span, Graph(4, star.edges), 2, 3),
-             (lp1_solve_span, path, 1, 2), (lp1_solve_span, path, 0, 2),
+             (lp1_solve_span, path, 1, 2), (lp1_solve_span, path, 1, 2),
              (solve_span, path, 2, 4), (solve_span, star, 2, 4)]
     fresh = []
     for solve, g, p, k in calls:
@@ -690,22 +678,14 @@ def test_shared_span_matches_distinct_ranges():
     assert refuted > 300 and infeasible > refuted, (refuted, infeasible)
 
 
-def test_lp1_largest_group_leaves_out_neighbourhoods_with_an_edge():
-    # at p = 0 vertex 0's four neighbours hold the edge 1-2, so they need
-    # not take distinct colors; at p = 0 no vertex has separation partners,
-    # so no neighbourhood is a group, not even vertex 5's three leaves.
-    # Three colors refute a four-member group but label the graph.
-    g = Graph(9, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (5, 6), (5, 7), (5, 8)])
-    neqs, seps = _lp1_model(g, 0)
-    assert g.max_degree == 4 and not any(seps)  # no separation partners at p = 0
-    values, near, masks = _color_masks([range(3)], 0)
-    assert _group_test(masks, near, 0)(0, (0,) * g.max_degree)
-    mine = lp1_solve_span(g, 0, 2)
-    assert mine.labelled
-    # distinct ranges take the per-group loop, which reads no largest size
-    theirs = _solve([range(3) for _ in range(g.n)], 0, None, lambda: (neqs, seps))
-    assert list(mine.labelling.values()) == theirs[0] and mine.nodes == theirs[1]
-    assert not lp1_solve_span(g, 0, 1).labelled
+def test_vertex_solver_needs_separation():
+    # at p = 0 adjacent vertices may share a color, so a neighbourhood is no
+    # group of distinct colors; the vertex solver takes p >= 1 only
+    for p in (0, -1):
+        with pytest.raises(ValueError):
+            lp1_solve_span(make_path(3), p, 2)
+        with pytest.raises(ValueError):
+            lp1_min_span(make_path(3), p)
 
 
 _TRIANGLES = [
@@ -758,16 +738,19 @@ def _brute_lp1_labelled(g: Graph, p: int, k: int) -> bool:
     )
 
 
-def test_lp1_at_p0_on_graphs_with_triangles_matches_brute_force():
-    # at p = 0 adjacent vertices may share a color, so a neighbourhood that
-    # holds a triangle edge must not be checked for distinct colors
-    graphs = _TRIANGLES + [make_fan(4), make_fan(5)] + [
+def test_lp1_on_graphs_with_triangles_matches_brute_force():
+    # a triangle edge inside a neighbourhood asks its ends to lie p apart as
+    # well as to differ, and the neighbourhood check must allow for it
+    fans = [Graph(n + 1, [(0, i) for i in range(1, n + 1)] + [(i, i + 1) for i in range(1, n)])
+            for n in (4, 5)]
+    graphs = _TRIANGLES + fans + [
         make_random_maximal_outerplanar(n, s) for n in (5, 6) for s in range(2)
     ] + small_connected_graphs(5)
     for g in graphs:
-        for k in range(g.max_degree + 1):
-            assert lp1_solve_span(g, 0, k).labelled == _brute_lp1_labelled(g, 0, k), (g.edges, k)
-        assert _brute_lp1_labelled(g, 0, lp1_min_span(g, 0))
+        for p in (1, 2):
+            for k in range(g.max_degree + p):
+                assert lp1_solve_span(g, p, k).labelled == _brute_lp1_labelled(g, p, k), (g, p, k)
+            assert _brute_lp1_labelled(g, p, lp1_min_span(g, p))
 
 
 def test_certification_of_the_empty_graph():
@@ -850,8 +833,9 @@ def test_search_matches_the_tuple_keyed_search_on_vertex_labellings():
     rng = random.Random(16)
     for _ in range(300):
         g, p, _ = _frozen_instance(rng)
+        p = max(p, 1)  # the neighbourhoods are groups at p >= 1 only
         k = rng.randrange(max(1, p + g.max_degree - 2), p + g.max_degree + 2)
-        neqs, seps = _lp1_model(g, p)
+        neqs, seps = _lp1_model(g)
         domains = [range(k)] * g.n
         mine = _root_first(domains, neqs, seps, p)
         assert mine == tuple_keyed_search(domains, _pairs(neqs, seps), p, _groups(seps)), (g, p, k)
@@ -886,7 +870,7 @@ def test_packed_keys_on_vertex_labellings(n, p, k):
     # paths of a power-of-two vertex count, and a star whose largest partner
     # count (3) fills its field
     for g in (make_path(n), make_star(3)):
-        neqs, seps = _lp1_model(g, p)
+        neqs, seps = _lp1_model(g)
         domains = [range(k + 1)] * g.n
         assert _root_first(domains, neqs, seps, p) == tuple_keyed_search(
             domains, _pairs(neqs, seps), p, _groups(seps))
@@ -953,3 +937,119 @@ def test_search_checks_only_groups_with_two_open_elements(monkeypatch):
     monkeypatch.setattr(solvers, "_group_test", recording)
     assert _search(*_color_masks(domains, 3), neqs, seps, 3) == expected
     assert min(checks)[0] == 2 and (2, True) in checks and (2, False) in checks
+
+
+def _orbit_representatives(g, k, universe):
+    """Brute force for _normalized_assignments, sharing no code with
+    element_automorphisms or _is_canonical. An assignment is the tuple of its
+    sorted lists in element order. Every vertex permutation that maps the
+    edge set onto itself moves the lists (vertex v to sigma(v), edge uv to
+    sigma(u)sigma(v)), and each orbit whose least color is 0 keeps its
+    lex-least member."""
+    edges = sorted(tuple(sorted(e)) for e in g.edges)
+    position = {e: g.n + j for j, e in enumerate(edges)}
+    actions = []
+    for sigma in itertools.permutations(range(g.n)):
+        images = [tuple(sorted((sigma[u], sigma[v]))) for u, v in edges]
+        if sorted(images) == edges:
+            actions.append([*sigma, *(position[e] for e in images)])
+    lists = itertools.combinations(range(universe + 1), k)
+    seen, representatives = set(), []
+    for combo in itertools.product(lists, repeat=g.n + len(edges)):
+        if combo in seen or min(colors[0] for colors in combo) != 0:
+            continue
+        orbit = {tuple(combo[a] for a in action) for action in actions}
+        seen |= orbit
+        representatives.append(min(orbit))
+    return sorted(representatives)
+
+
+@pytest.mark.parametrize("g,k,universe,orbits", [
+    (make_path(3), 2, 3, 3861),
+    (make_star(3), 2, 2, 494),
+    (_TRIANGLES[0], 2, 3, 8271),
+    (make_path(4), 1, 3, 7186),
+    (_C4, 2, 2, 953),
+], ids=["P3", "K13", "K3", "P4", "C4"])
+def test_normalized_assignments_are_the_least_member_of_each_orbit(g, k, universe, orbits):
+    # an upper certificate's recheck replays this same filter, so a filter
+    # that dropped an orbit would confirm itself; an independent orbit
+    # enumeration pins it, one representative per orbit, in lex order
+    mine = [tuple(tuple(sorted(lists[x])) for x in elements_of(g))
+            for lists in solvers._normalized_assignments(g, k, universe)]
+    assert mine == _orbit_representatives(g, k, universe)
+    assert len(mine) == orbits
+
+
+def test_lex_hunt_is_complete_only_when_its_budget_reaches_every_assignment(monkeypatch):
+    # P2 is 3-choosable at p = 1, so a lex hunt labels every normalized
+    # assignment: a budget of exactly their number has checked them all, and
+    # one short of it has not; a raw scan stopped by the cap is not complete
+    g, p, k, universe = make_path(2), 1, 3, 4
+    count = sum(1 for _ in solvers._normalized_assignments(g, k, universe))
+    at = find_bad_assignment(g, p, k, universe, budget=count)
+    assert (at.kind, at.checked, at.complete) == ("exhausted", count, True)
+    short = find_bad_assignment(g, p, k, universe, budget=count - 1)
+    assert (short.kind, short.checked, short.complete) == ("exhausted", count - 1, False)
+    for cert in (at, short):
+        ok, detail = recheck_certificate(cert)
+        assert ok, detail
+    monkeypatch.setattr(solvers, "_RAW_SCAN_CAP", 50)
+    capped = find_bad_assignment(g, p, k, universe, budget=count)
+    assert capped.kind == "exhausted" and 0 < capped.checked < count and not capped.complete
+
+
+def test_random_hunt_exhaustion_is_never_complete():
+    g, p, k, universe = make_path(2), 1, 3, 4
+    count = sum(1 for _ in solvers._normalized_assignments(g, k, universe))
+    cert = find_bad_assignment(g, p, k, universe, budget=2 * count, mode="random", seed=1)
+    assert (cert.kind, cert.checked, cert.complete, cert.seed) == ("exhausted", 2 * count, False, 1)
+
+
+def test_certified_lower_witness_names_no_budget_or_seed():
+    cert = certify_choosable(make_path(2), 1, 2, universe=5)
+    assert cert.kind == "lower-witness"
+    obj = json.loads(cert.to_json())
+    assert (obj["budget"], obj["mode"], obj["seed"], obj["complete"]) == (None, "lex", None, False)
+
+
+def _compressed(lists, p):
+    """Gap compression: every gap of at least max(p, 1) between consecutive
+    colors in use shrinks to exactly max(p, 1), and the least color moves to
+    0. The map keeps the order of the colors and every distance below p."""
+    step = max(p, 1)
+    image, last = {}, None
+    for color in sorted(set().union(*lists)):
+        image[color] = 0 if last is None else image[last] + min(color - last, step)
+        last = color
+    return [{image[c] for c in colors} for colors in lists]
+
+
+def test_gap_compression_keeps_every_verdict():
+    # k-lists on N elements compress into {0..(N*k - 1)*max(p, 1)} with the
+    # same verdict, so an upper certificate whose universe reaches that bound
+    # holds for every universe. Tight lists: k about the degree bound, drawn
+    # from a few more colors than k, spaced by gaps of 1 to 2p + 1.
+    rng = random.Random(26)
+    verdicts = {True: 0, False: 0}
+    for _ in range(700):
+        family = rng.randrange(4)
+        if family == 0:
+            g = make_star(rng.randrange(1, 6))
+        elif family == 1:
+            g = make_path(rng.randrange(2, 9))
+        elif family == 2:
+            g = make_random_tree(rng.randrange(2, 10), rng.randrange(10**6))
+        else:
+            g = make_random_maximal_outerplanar(rng.randrange(3, 7), rng.randrange(10**6))
+        p = rng.randrange(4)
+        k = max(1, g.max_degree + p - 1 + rng.randrange(-1, 2))
+        pool = list(itertools.accumulate(
+            rng.randrange(1, 2 * p + 2) for _ in range(k + rng.randrange(3))))
+        lists = [set(rng.sample(pool, k)) for _ in range(g.n + g.m)]
+        small = _compressed(lists, p)
+        assert max(map(max, small)) <= (len(lists) * k - 1) * max(p, 1)
+        verdict = solve_list(g, p, lists).labelled
+        assert solve_list(g, p, small).labelled == verdict, (g, p, lists)
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 100, verdicts
