@@ -382,170 +382,139 @@ def _audit_bound(
             )
 
 
-class _Rebuilder:
-    """Working state for the outerplanar extension phase.
+def _least_apart(first: int, second: int, near: list) -> tuple[int, int]:
+    """Ranks from two pools at distance >= p: the least color of either goes
+    to the pool holding it, the first on a tie, and the other pool takes its
+    least color outside that color's ball."""
+    m = _lowest(first | second)
+    if first >> m & 1:
+        return m, _lowest(second & ~near[m])
+    return _lowest(first & ~near[m]), m
 
-    Holds the partially rebuilt graph as an adjacency dict, the growing
-    labelling and the fixed lists by element position of g, and the audit
-    counters. Each reduction kind has a method that re-inserts and colors its
-    piece; when it is called, adj is the graph right after that reduction.
-    The lists are masks over the union of their colors and those of the c
-    given, and c holds ranks in that union; colors() reads the colors back.
+
+def _c3_pair(c: list, near: list, masks: list, edge_at: dict, x, u1, v1, u2, v2):
+    """The pools of u1 and the hub edge xu1, and the pair from them at distance
+    >= p with the least u1 color, then the least edge color, or None."""
+    pool_u = masks[u1] & ~(1 << c[v1] | 1 << c[x]) & ~near[c[edge_at[u1, v1]]]
+    pool_e = masks[edge_at[x, u1]] & ~near[c[x]] & ~(
+        1 << c[edge_at[x, v1]] | 1 << c[edge_at[u1, v1]]
+        | 1 << c[edge_at[x, v2]] | 1 << c[edge_at[x, u2]])
+    rest = pool_u
+    while rest:
+        a = _lowest(rest)
+        if far := pool_e & ~near[a]:
+            return pool_u, pool_e, (a, _lowest(far))
+        rest &= rest - 1
+    return pool_u, pool_e, None
+
+
+def _extend(g: Graph, p: int, lists: list, audit: OuterplanarAudit, adj: dict, c: list,
+            steps: list) -> list:
+    """Undo steps last-first on adj, the graph left after all of them, and
+    color each piece put back with its least admissible colors; each step
+    sees its own reduced graph fully labelled. c holds the colors of adj's
+    elements by position in g (None elsewhere), and may hold colors outside
+    the lists. Returns the labelling of g by element position, in colors.
+
+    The lists are masks over the union of their colors and those of c, and c
+    is kept as ranks in that union.
     """
-
-    def __init__(self, g: Graph, p: int, lists: list, audit: OuterplanarAudit,
-                 adj: dict, c: list):
-        self.g = g
-        self.p = p
-        self.lists = lists
-        self.audit = audit
-        self.adj = adj
-        self.values, self.near, self.masks = _color_masks(
-            [*lists, [color for color in c if color is not None]], p)
-        self.c = [None if color is None else bisect_left(self.values, color) for color in c]
-        self.edge_at = _edge_positions(g)
-        self.resolved_whole_graph = False
-
-    def colors(self) -> list:
-        """The labelling by element position, in colors (None where unlabelled)."""
-        return [None if r is None else self.values[r] for r in self.c]
-
-    def _add_edge(self, u, v):
-        self.adj.setdefault(u, set()).add(v)
-        self.adj.setdefault(v, set()).add(u)
-
-    def extend_leaf(self, v, u):
-        c, near, masks = self.c, self.near, self.masks
-        self._add_edge(v, u)
-        e = self.edge_at[v, u]
-        at_u = sum({1 << c[self.edge_at[u, nb]] for nb in self.adj[u] if nb != v})
-        pool_e = masks[e] & ~at_u & ~near[c[u]]
-        _audit_bound(self.audit, "leaf", (v, u), {"edge": pool_e.bit_count()}, {"edge": 1})
-        c[e] = _lowest(pool_e)
-        c[v] = _lowest(masks[v] & ~(1 << c[u]) & ~near[c[e]])
-
-    def extend_c1(self, u, v):
-        c, p, near, masks, edge_at = self.c, self.p, self.near, self.masks, self.edge_at
-        (x,), (y,) = self.adj[u], self.adj[v]  # each had degree 2
-        self._add_edge(u, v)
-        e = edge_at[u, v]
-        c[u] = c[v] = None
-        eu, ev = edge_at[u, x], edge_at[v, y]
-        pool_u = masks[u] & ~(1 << c[x]) & ~near[c[eu]]
-        pool_v = masks[v] & ~(1 << c[y]) & ~near[c[ev]]
-        pool_e = masks[e] & ~(1 << c[eu] | 1 << c[ev])
-        _audit_bound(
-            self.audit, "c1", (u, v),
-            {"u": pool_u.bit_count(), "v": pool_v.bit_count(), "edge": pool_e.bit_count()},
-            {"u": p + 2, "v": p + 2, "edge": 3 * p},
-        )
-        m = _lowest(pool_u | pool_v | pool_e)
-        if not (pool_u | pool_v) >> m & 1:
-            # the minimum lives on the edge only: place it there, both ends
-            # then lose at most p-1 colors each
-            c[e] = m
-            c[u] = _lowest(pool_u & ~near[m])
-            c[v] = _lowest(pool_v & ~near[m] & ~(1 << c[u]))
-            return
-        if pool_u >> m & 1:
-            first, second, spool = u, v, pool_v
-        else:
-            first, second, spool = v, u, pool_u
-        c[first] = m
-        spool2 = spool & ~(1 << m)
-        epool2 = pool_e & ~near[m]
-        m1 = _lowest(spool2 | epool2)
-        if spool2 >> m1 & 1:
-            c[second] = m1
-            c[e] = _lowest(epool2 & ~near[m1])
-        else:
-            c[e] = m1
-            c[second] = _lowest(spool2 & ~near[m1])
-
-    def extend_c2(self, u, v1, v2):
-        c, p, near, masks, edge_at = self.c, self.p, self.near, self.masks, self.edge_at
-        z = next(w for w in self.adj[v1] if w != v2)  # v1 had degree 3: u, v2 and z
-        self._add_edge(u, v1)
-        e = edge_at[u, v1]
-        c[u] = None
-        pool_u = masks[u] & ~(1 << c[v1] | 1 << c[v2]) & ~near[c[edge_at[u, v2]]]
-        pool_e = masks[e] & ~near[c[v1]] & ~(
-            1 << c[edge_at[v1, z]] | 1 << c[edge_at[v1, v2]] | 1 << c[edge_at[u, v2]])
-        _audit_bound(
-            self.audit, "c2", (u, v1, v2),
-            {"u": pool_u.bit_count(), "edge": pool_e.bit_count()},
-            {"u": p + 1, "edge": p},
-        )
-        m = _lowest(pool_u | pool_e)
-        if pool_e >> m & 1:
-            c[e] = m
-            c[u] = _lowest(pool_u & ~near[m])
-        else:
-            c[u] = m
-            c[e] = _lowest(pool_e & ~near[m])
-
-    def _c3_pair(self, x, u1, v1, u2, v2):
-        """The pools of u1 and the hub edge, and the pair from them at distance
-        >= p with the least u1 color, then the least edge color, or None."""
-        c, near, masks, edge_at = self.c, self.near, self.masks, self.edge_at
-        pool_u = masks[u1] & ~(1 << c[v1] | 1 << c[x]) & ~near[c[edge_at[u1, v1]]]
-        pool_e = masks[edge_at[x, u1]] & ~near[c[x]] & ~(
-            1 << c[edge_at[x, v1]] | 1 << c[edge_at[u1, v1]]
-            | 1 << c[edge_at[x, v2]] | 1 << c[edge_at[x, u2]])
-        rest = pool_u
-        while rest:
-            a = _lowest(rest)
-            if far := pool_e & ~near[a]:
-                return pool_u, pool_e, (a, _lowest(far))
-            rest &= rest - 1
-        return pool_u, pool_e, None
-
-    def extend_c3(self, x, u1, v1, u2, v2):
-        c, p, edge_at = self.c, self.p, self.edge_at
-        self._add_edge(x, u1)
-        e = edge_at[x, u1]
-        c[u1] = None
-        pool_u, pool_e, pair = self._c3_pair(x, u1, v1, u2, v2)
-        _audit_bound(
-            self.audit, "c3", (x, u1, v1, u2, v2),
-            {"u1": pool_u.bit_count(), "edge": pool_e.bit_count()},
-            {"u1": p + 1, "edge": p - 1},
-        )
-        if pair is not None:
-            c[u1], c[e] = pair
-            return
-        # the partly rebuilt graph, whose ends of unrestored edges may share a
-        # color, and the position in g of each of its element positions
-        working = Graph(self.g.n, ((u, v) for u, nbs in self.adj.items() for v in nbs))
-        in_g = [*range(self.g.n), *(edge_at[uv] for uv in working.sorted_edges())]
-        # tight case: swap the colors of the hub-side and far-side edges at
-        # v1. The color multiset at v1 is unchanged; still, the swap is
-        # verified before being trusted, and reverted if it breaks anything.
-        e_hub, e_far = edge_at[x, v1], edge_at[u1, v1]
-        c[e_hub], c[e_far] = c[e_far], c[e_hub]
-        self.audit.interchanges += 1
-        values = self.values
-        if is_valid(working, p, [None if c[i] is None else values[c[i]] for i in in_g]).ok:
-            pair = self._c3_pair(x, u1, v1, u2, v2)[2]
-        else:
-            c[e_hub], c[e_far] = c[e_far], c[e_hub]
-            self.audit.invalid_swaps += 1
-        if pair is not None:
-            c[u1], c[e] = pair
-            return
-        # still no pair. With every other element pinned, u1 and the hub edge
-        # see exactly these two pools, so a solve of just those two would fail
-        # as well. Re-solve the whole instance; a failure here would contradict
-        # the list-size guarantee
-        self.audit.full_resolves += 1
-        full = solve_list(self.g, p, self.lists)
-        if not full.labelled:
-            raise TheoremViolation(
-                f"outerplanar with Delta={self.g.max_degree}, p={p}: the full "
-                "instance has no list-respecting labelling"
+    values, near, masks = _color_masks([*lists, [color for color in c if color is not None]], p)
+    c = [None if color is None else bisect_left(values, color) for color in c]
+    edge_at = _edge_positions(g)
+    for step in reversed(steps):
+        a, b, *_ = roles = tuple(vars(step).values())
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+        e = edge_at[a, b]
+        kind = type(step)
+        if kind is Leaf:
+            v, u = roles
+            at_u = sum({1 << c[edge_at[u, nb]] for nb in adj[u] if nb != v})
+            pool_e = masks[e] & ~at_u & ~near[c[u]]
+            _audit_bound(audit, "leaf", roles, {"edge": pool_e.bit_count()}, {"edge": 1})
+            c[e] = _lowest(pool_e)
+            c[v] = _lowest(masks[v] & ~(1 << c[u]) & ~near[c[e]])
+        elif kind is C1:
+            u, v = roles
+            (x,), (y,) = adj[u] - {v}, adj[v] - {u}  # each had degree 2
+            c[u] = c[v] = None
+            eu, ev = edge_at[u, x], edge_at[v, y]
+            pool_u = masks[u] & ~(1 << c[x]) & ~near[c[eu]]
+            pool_v = masks[v] & ~(1 << c[y]) & ~near[c[ev]]
+            pool_e = masks[e] & ~(1 << c[eu] | 1 << c[ev])
+            _audit_bound(
+                audit, "c1", roles,
+                {"u": pool_u.bit_count(), "v": pool_v.bit_count(), "edge": pool_e.bit_count()},
+                {"u": p + 2, "v": p + 2, "edge": 3 * p},
             )
-        self.c = [bisect_left(values, full.labelling[x]) for x in elements_of(self.g)]
-        self.resolved_whole_graph = True
+            m = _lowest(pool_u | pool_v | pool_e)
+            if not (pool_u | pool_v) >> m & 1:
+                # the minimum lives on the edge only: place it there, both
+                # ends then lose at most p-1 colors each
+                c[e] = m
+                c[u] = _lowest(pool_u & ~near[m])
+                c[v] = _lowest(pool_v & ~near[m] & ~(1 << c[u]))
+                continue
+            first, second, spool = (u, v, pool_v) if pool_u >> m & 1 else (v, u, pool_u)
+            c[first] = m
+            c[second], c[e] = _least_apart(spool & ~(1 << m), pool_e & ~near[m], near)
+        elif kind is C2:
+            u, v1, v2 = roles
+            z = next(w for w in adj[v1] if w != v2 and w != u)  # v1 has degree 3
+            c[u] = None
+            pool_u = masks[u] & ~(1 << c[v1] | 1 << c[v2]) & ~near[c[edge_at[u, v2]]]
+            pool_e = masks[e] & ~near[c[v1]] & ~(
+                1 << c[edge_at[v1, z]] | 1 << c[edge_at[v1, v2]] | 1 << c[edge_at[u, v2]])
+            _audit_bound(
+                audit, "c2", roles,
+                {"u": pool_u.bit_count(), "edge": pool_e.bit_count()},
+                {"u": p + 1, "edge": p},
+            )
+            c[e], c[u] = _least_apart(pool_e, pool_u, near)
+        else:
+            x, u1, v1, u2, v2 = roles
+            c[u1] = None
+            pool_u, pool_e, pair = _c3_pair(c, near, masks, edge_at, *roles)
+            _audit_bound(
+                audit, "c3", roles,
+                {"u1": pool_u.bit_count(), "edge": pool_e.bit_count()},
+                {"u1": p + 1, "edge": p - 1},
+            )
+            if pair is None:
+                # the partly rebuilt graph, whose ends of unrestored edges may
+                # share a color, and the position in g of each of its element
+                # positions
+                working = Graph(g.n, ((u, v) for u, nbs in adj.items() for v in nbs))
+                in_g = [*range(g.n), *(edge_at[uv] for uv in working.sorted_edges())]
+                # tight case: swap the colors of the hub-side and far-side
+                # edges at v1. The color multiset at v1 is unchanged; still,
+                # the swap is verified before being trusted, and reverted if
+                # it breaks anything.
+                e_hub, e_far = edge_at[x, v1], edge_at[u1, v1]
+                c[e_hub], c[e_far] = c[e_far], c[e_hub]
+                audit.interchanges += 1
+                if is_valid(working, p, [None if c[i] is None else values[c[i]]
+                                         for i in in_g]).ok:
+                    pair = _c3_pair(c, near, masks, edge_at, *roles)[2]
+                else:
+                    c[e_hub], c[e_far] = c[e_far], c[e_hub]
+                    audit.invalid_swaps += 1
+            if pair is None:
+                # still no pair. With every other element pinned, u1 and the
+                # hub edge see exactly these two pools, so a solve of just
+                # those two would fail as well. Re-solve the whole instance;
+                # a failure here would contradict the list-size guarantee
+                audit.full_resolves += 1
+                full = solve_list(g, p, lists)
+                if not full.labelled:
+                    raise TheoremViolation(
+                        f"outerplanar with Delta={g.max_degree}, p={p}: the full "
+                        "instance has no list-respecting labelling"
+                    )
+                return [full.labelling[el] for el in elements_of(g)]
+            c[u1], c[e] = pair
+    return [values[r] for r in c]
 
 
 def label_outerplanar_list(
@@ -586,14 +555,4 @@ def label_outerplanar_list(
 
     # edgeless core: least color of each remaining vertex's list
     core = [min(lists[i]) if i in adj else None for i in range(len(lists))]
-
-    # extension phase: undo the reductions last-first, so each step sees its
-    # own reduced graph fully labelled
-    rebuilder = _Rebuilder(g, p, lists, audit, adj, core)
-    extend = {Leaf: rebuilder.extend_leaf, C1: rebuilder.extend_c1,
-              C2: rebuilder.extend_c2, C3: rebuilder.extend_c3}
-    for step in reversed(steps):
-        extend[type(step)](*vars(step).values())
-        if rebuilder.resolved_whole_graph:
-            break
-    return _checked_labelling(g, p, rebuilder.colors(), lists)
+    return _checked_labelling(g, p, _extend(g, p, lists, audit, adj, core, steps), lists)

@@ -310,12 +310,17 @@ def full_lists(g: Graph, colors) -> dict:
     return {x: pool for x in elements_of(g)}
 
 
+# the list types that cannot hold a color twice
+_DISTINCT = frozenset({set, frozenset, range})
+
+
 def check_lists(g: Graph, lists, minimum: int | None = None) -> list:
     """Require a non-empty list for every element, optionally of a minimum size.
 
     The lists are a dict keyed by element, naming every element of g and no
     other, or a list of color sets by element position (vertex v at v, the
-    j-th sorted edge at n+j). Returns the caller's lists by element position.
+    j-th sorted edge at n+j). A list's size is its number of distinct colors.
+    Returns the caller's lists by element position.
     """
     by_position = isinstance(lists, list)
     if by_position and len(lists) != g.n + g.m:
@@ -324,17 +329,24 @@ def check_lists(g: Graph, lists, minimum: int | None = None) -> list:
         out = list(lists if by_position else lists.values())
     else:
         out = [lists.get(x) for x in _elements(g)]
+    # a size counts distinct colors; a set or range repeats none, so it is not
+    # copied, and the check of sets alone stays in C
+    sized = out
+    if minimum is not None and not _DISTINCT.issuperset(map(type, out)):
+        sized = [colors if not colors or type(colors) in _DISTINCT else set(colors)
+                 for colors in out]
     # all() and len() test every list in C; the loop only names the first that fails
-    if not all(out) or (minimum is not None and min(map(len, out), default=minimum) < minimum):
+    if not all(out) or (minimum is not None and min(map(len, sized), default=minimum) < minimum):
         for i, colors in enumerate(out):
-            if not colors or (minimum is not None and len(colors) < minimum):
+            if not colors or (minimum is not None and len(sized[i]) < minimum):
                 x = _elements(g)[i]
                 if colors is None and not by_position and x not in lists:
                     raise ValueError(f"missing list for element {element_name(x)}")
                 if not colors:
                     raise ValueError(f"empty list for element {element_name(x)}")
                 raise ValueError(
-                    f"list for {element_name(x)} has {len(colors)} colors; need at least {minimum}"
+                    f"list for {element_name(x)} has {len(sized[i])} colors; "
+                    f"need at least {minimum}"
                 )
     # every element has its list, so any further key names no element of g
     if not by_position and len(lists) != len(out):

@@ -512,15 +512,16 @@ def _lex_product(pool, repeat: int):
 
 def _normalized_assignments(g: Graph, k: int, universe: int, stats=None):
     """Lexicographic k-assignments from {0..universe}, minimum color zero,
-    reduced to orbit representatives under element automorphisms.
+    reduced to orbit representatives under element automorphisms, each a
+    list of sorted color tuples by element position.
     The graph with no elements has one assignment, the empty one.
 
     Stops at a fixed raw-iteration cap (recorded in stats["capped"]) so the
     filters cannot spin unboundedly on large instances."""
-    elems = elements_of(g)
-    perms = [pm for pm in element_automorphisms(g) if pm != tuple(range(len(elems)))]
+    n = g.n + g.m
+    perms = [pm for pm in element_automorphisms(g) if pm != tuple(range(n))]
     raw = 0
-    for combo in _lex_product(lambda: itertools.combinations(range(universe + 1), k), len(elems)):
+    for combo in _lex_product(lambda: itertools.combinations(range(universe + 1), k), n):
         raw += 1
         if raw > _RAW_SCAN_CAP:
             if stats is not None:
@@ -530,7 +531,7 @@ def _normalized_assignments(g: Graph, k: int, universe: int, stats=None):
             continue
         if perms and not _is_canonical(combo, perms):
             continue
-        yield {x: set(combo[i]) for i, x in enumerate(elems)}
+        yield list(combo)
 
 
 @dataclass
@@ -619,14 +620,14 @@ def _checked_universe(k: int, universe: int | None) -> int:
 
 
 def _random_assignments(g: Graph, k: int, universe: int, seed: int):
-    """Endless seeded k-subsets of {0..universe}, one per element, shifted so
-    that the least color in use is 0."""
+    """Endless seeded k-subsets of {0..universe}, one set per element position,
+    shifted so that the least color in use is 0."""
     rng = random.Random(f"witness:{seed}")
-    elems = elements_of(g)
+    n = g.n + g.m
     while True:
-        lists = {x: sorted(rng.sample(range(universe + 1), k)) for x in elems}
-        shift = min((min(v) for v in lists.values()), default=0)
-        yield {x: set(c - shift for c in v) for x, v in lists.items()}
+        lists = [rng.sample(range(universe + 1), k) for _ in range(n)]
+        shift = min(map(min, lists), default=0)
+        yield [{c - shift for c in v} for v in lists]
 
 
 def _witness_search(g: Graph, p: int, k: int, universe: int, budget: int | None = None,
@@ -647,7 +648,8 @@ def _witness_search(g: Graph, p: int, k: int, universe: int, budget: int | None 
             break
         checked += 1
         if not solve_list(g, p, lists).labelled:
-            return Certificate("lower-witness", p, k, universe, g6, checked, assignment=lists,
+            return Certificate("lower-witness", p, k, universe, g6, checked,
+                               assignment=dict(zip(elements_of(g), map(set, lists))),
                                budget=budget, mode=mode, seed=seed)
     else:
         complete = not stats["capped"]

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from plabel.cli import build_parser, main
 from plabel.graphs import emit_edge_list, emit_graph6, make_path, make_star, parse_graph6
 from plabel.harness import FAMILIES, make_instance
 from plabel.labelling import (
+    element_from_name,
     full_lists,
     is_valid,
     labelling_from_json,
@@ -16,6 +18,8 @@ from plabel.labelling import (
     lists_to_json,
 )
 from plabel.solvers import Certificate, find_bad_assignment
+
+from .test_constructive import _P1_FALLBACK_LISTS
 
 
 @pytest.fixture
@@ -218,6 +222,26 @@ def test_construct_outerplanar_audit_trail(tmp_path):
     trail = json.loads(audit.read_text())
     assert trail["full_resolves"] == 0
     assert trail["configurations"]
+
+
+def test_construct_outerplanar_fallback_writes_pinned_bytes(tmp_path):
+    # the C3 step of this instance is left with no pair after the interchange
+    # and re-solves the whole graph; the labelling and the trail are pinned
+    gfile, lists, out, audit = (tmp_path / f for f in ("g.g6", "lists.json", "lab.json",
+                                                       "audit.json"))
+    gfile.write_text("E|Z?\n")
+    lists.write_text(lists_to_json(1, {element_from_name(name): set(colors)
+                                       for name, colors in _P1_FALLBACK_LISTS.items()}))
+    assert main([
+        "construct", "--family", "outerplanar", "--format", "graph6", "--graph", str(gfile),
+        "--p", "1", "--lists", str(lists), "--out", str(out), "--audit", str(audit),
+    ]) == 0
+    assert json.loads(audit.read_text())["full_resolves"] == 1
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, audit)]
+    assert digests == [
+        "975e1b575aa300924a3608cb738e149c104356c848a2ec0e1e36bd999f1f922a",
+        "39bf1bab7f11754ef78280334f08fa273ad4db6e9aeb3fc47d66aac89478f682",
+    ]
 
 
 def test_incidence_graph6_output(tmp_path, capsys):

@@ -14,7 +14,7 @@ from plabel.constructive import (
     Leaf,
     OuterplanarAudit,
     TheoremViolation,
-    _Rebuilder,
+    _extend,
     find_configuration,
     label_outerplanar_list,
     label_path_greedy,
@@ -304,6 +304,22 @@ def test_star_list_shape_and_parameter_errors():
         label_star_list(make_star(2), 2, full_lists(make_star(2), range(6)))
     with pytest.raises(ValueError):
         label_star_list(g, 2, full_lists(g, range(5)))  # needs n+2p-1 = 6
+
+
+@pytest.mark.parametrize("label, p, repeated, distinct", [
+    (label_star_list, 2, [0, 0, 0, 0, 0, 0], {0, 1, 2, 3, 4, 5}),  # needs n+2p-1 = 6
+    (label_tree_dfs, 1, [0, 0, 0, 1], {0, 1, 2, 3}),  # needs Delta+2p-1 = 4
+], ids=["star", "tree"])
+def test_list_sizes_count_distinct_colors(label, p, repeated, distinct):
+    # a repeated color counts once: lists of the right length but too few
+    # colors are refused up front, while sets of the same length label
+    g = make_star(3)
+    lists = {x: repeated if isinstance(x, Edge) else set(range(6)) for x in elements_of(g)}
+    with pytest.raises(ValueError, match=f"^list for e:0-1 has {len(set(repeated))} colors; "):
+        label(g, p, lists)
+    lists = {x: distinct if isinstance(x, Edge) else set(range(6)) for x in elements_of(g)}
+    c = label(g, p, lists)
+    assert is_valid(g, p, c, total=True).ok and respects_lists(c, lists)
 
 
 def _set_protected_edge_coloring(order, avail, n):
@@ -701,10 +717,8 @@ def test_c3_interchange_tight_case():
     audit = OuterplanarAudit()
     adj = {v: set(h.adj[v]) for v in range(h.n)}
     elements = elements_of(g)
-    rb = _Rebuilder(g, p, [lists[x] for x in elements], audit, adj,
-                    [c.get(x) for x in elements])
-    rb.extend_c3(0, 1, 2, 9, 8)
-    labelled = dict(zip(elements, rb.colors()))
+    labelled = dict(zip(elements, _extend(g, p, [lists[x] for x in elements], audit, adj,
+                                          [c.get(x) for x in elements], [C3(0, 1, 2, 9, 8)])))
     assert audit.interchanges == 1
     assert audit.invalid_swaps == 0
     # the swap moved the far-side color onto the hub-side edge
@@ -716,7 +730,7 @@ def test_c3_interchange_tight_case():
 
 def test_c3_fallback_recovers_from_corrupted_state():
     # corrupt the completed context so the interchange is rejected and no pair
-    # is left; the rebuilder must fall back to a full re-solve and still hand
+    # is left; the extension must fall back to a full re-solve and still hand
     # back a valid labelling of the whole graph
     p = 3
     g, h, lists, c = _tight_c3_state(p)
@@ -724,14 +738,11 @@ def test_c3_fallback_recovers_from_corrupted_state():
     audit = OuterplanarAudit()
     adj = {v: set(h.adj[v]) for v in range(h.n)}
     elements = elements_of(g)
-    rb = _Rebuilder(g, p, [lists[x] for x in elements], audit, adj,
-                    [c.get(x) for x in elements])
-    rb.extend_c3(0, 1, 2, 9, 8)
-    labelled = dict(zip(elements, rb.colors()))
+    labelled = dict(zip(elements, _extend(g, p, [lists[x] for x in elements], audit, adj,
+                                          [c.get(x) for x in elements], [C3(0, 1, 2, 9, 8)])))
     assert audit.interchanges == 1
     assert audit.invalid_swaps == 1
     assert audit.full_resolves == 1
-    assert rb.resolved_whole_graph
     assert is_valid(g, p, labelled, total=True).ok
     assert respects_lists(labelled, lists)
 
