@@ -14,10 +14,10 @@ Inside, every routine reads the lists and colors by element position (vertex
 v at v, the j-th sorted edge at n+j) and builds the element dict on return.
 All four routines work on bitmask lists, the encoding of the exact search:
 bit i stands for the i-th color of the lists' union.
-Every returned labelling is re-validated unconditionally. A failure of a
-guarantee that the underlying mathematics rules out raises
-TheoremViolation, which is a reportable research event rather than an
-expected error path.
+Every returned labelling is re-validated unconditionally. A local counting
+bound that fails raises AssertionError (_lowest, _audit_bound); a failed
+whole-instance guarantee raises TheoremViolation, a reportable research event
+rather than an expected error path.
 """
 
 from __future__ import annotations
@@ -147,52 +147,42 @@ def _star_shape(g: Graph) -> tuple[int, list[int]]:
     return center, leaves
 
 
-def _protected_edge_coloring(remaining: dict, n: int) -> dict | None:
-    """Greedy minimum-color edge coloring that shields one slack-rich edge.
+def _protected_edge_coloring(remaining: dict) -> dict | None:
+    """Greedy minimum-color edge coloring that shields the first uncolored edge.
 
     remaining maps each edge, in order, to the mask of its colors. Repeatedly
-    takes the global minimum m of the uncolored masks and gives it to an edge
-    other than the protected one whenever some other edge holds m; when the
-    protected edge is forced at step i, protection moves to the first
-    uncolored edge. When every mask holds at least n colors, as
-    label_star_list's reduced edge lists do, that edge keeps at least n-i+1:
-    each step takes at most one color from a mask, and the forcing step none
-    from the others, which did not hold m. Returns the rank of each edge's
-    color, or None if stranded (also when no edge has n colors to start with).
+    gives the least color m of the uncolored masks to the first uncolored edge
+    only when no other uncolored edge holds m. When every mask starts with at
+    least one color per edge, as label_star_list's reduced edge lists do, the
+    first uncolored edge keeps one per uncolored edge: each step takes at most
+    one color from a mask, and none from the others when it colors the first
+    edge. Returns the rank of each edge's color, or None if stranded.
     """
     uncolored = list(remaining)
-    protected = next((e for e in uncolored if remaining[e].bit_count() >= n), None)
-    if protected is None:
-        return None
     colors: dict = {}
-    for i in range(1, n + 1):
+    while uncolored:
         union = 0
         for e in uncolored:
             union |= remaining[e]
         if not union:
             return None
         low = union & -union
-        # the protected edge holds low when no other uncolored edge does
-        chosen = next((e for e in uncolored if remaining[e] & low and e != protected), protected)
+        chosen = next((e for e in uncolored[1:] if remaining[e] & low), uncolored[0])
         colors[chosen] = low.bit_length() - 1
         uncolored.remove(chosen)
-        if i == n:
-            break
         for e in uncolored:
             remaining[e] &= ~low
-        if chosen == protected:
-            protected = uncolored[0]
     return colors
 
 
 def label_star_list(g: Graph, p: int, lists: dict) -> dict:
     """Star labeller from lists of size n+2p-1 (center degree n >= 3, p >= 2).
 
-    Tries center colors in ascending list order. For each candidate alpha the
-    edge lists lose the ball of alpha; as long as some reduced edge list
-    keeps n colors, the protected-edge coloring places all edges and every
-    leaf, which loses at most 2p colors, still has one left. If every center
-    color fails, something impossible happened and TheoremViolation is raised.
+    The center takes its least color alpha. Each edge list loses the at most
+    2p-1 colors of alpha's ball and keeps at least n, so the protected-edge
+    coloring places all n edges, and every leaf, which loses at most 2p
+    colors, still has one left. A stranded edge coloring is impossible and
+    raises TheoremViolation.
     """
     if p < 2:
         raise ValueError("the star routine needs p >= 2")
@@ -204,24 +194,20 @@ def label_star_list(g: Graph, p: int, lists: dict) -> dict:
     values, near, masks = _color_masks(lists, p)
     edge_at = _edge_positions(g)
     order = [edge_at[center, v] for v in leaves]
-    rest = masks[center]
-    while rest:
-        alpha = _lowest(rest)
-        rest &= rest - 1
-        edge_colors = _protected_edge_coloring({e: masks[e] & ~near[alpha] for e in order}, n)
-        if edge_colors is None:
-            continue
-        c: list = [None] * len(lists)
-        c[center] = alpha
-        for v, e in zip(leaves, order):
-            r = c[e] = edge_colors[e]
-            c[v] = _lowest(masks[v] & ~(1 << alpha) & ~near[r])
-        return _checked_labelling(g, p, [values[r] for r in c], lists)
-    raise TheoremViolation(
-        f"star with {n} leaves and p={p}: no center color admitted the "
-        "protected-edge coloring; lists="
-        f"{ {element_name(x): sorted(v) for x, v in zip(elements_of(g), lists)} }"
-    )
+    alpha = _lowest(masks[center])
+    edge_colors = _protected_edge_coloring({e: masks[e] & ~near[alpha] for e in order})
+    if edge_colors is None:
+        raise TheoremViolation(
+            f"star with {n} leaves and p={p}: the center's least color left the "
+            "protected-edge coloring stranded; lists="
+            f"{ {element_name(x): sorted(v) for x, v in zip(elements_of(g), lists)} }"
+        )
+    c: list = [None] * len(lists)
+    c[center] = alpha
+    for v, e in zip(leaves, order):
+        r = c[e] = edge_colors[e]
+        c[v] = _lowest(masks[v] & ~(1 << alpha) & ~near[r])
+    return _checked_labelling(g, p, [values[r] for r in c], lists)
 
 
 def label_star_span(n: int, p: int) -> dict:

@@ -50,6 +50,17 @@ def test_solve_fixed_k(p4_file, capsys):
     assert "infeasible" in capsys.readouterr().out
 
 
+def test_solve_fixed_k_feasible_writes_pinned_bytes(p4_file, tmp_path, capsys):
+    out, dot = tmp_path / "lab.json", tmp_path / "lab.dot"
+    assert main(["solve", "--graph", p4_file, "--p", "2", "--k", "4", "--out", str(out),
+                 "--dot", str(dot)]) == 0
+    assert capsys.readouterr().out == "labelled with colors in 0..4 (7 nodes)\n"
+    assert [hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, dot)] == [
+        "bd462904e1f7a6bb585c5e1b9a1ee3214abfa504a290186887cf3e3c974b9b51",
+        "cc6bdba46299902f69d5b805a337512727c3213d6c5f53f5d741b1e5c69b39f8",
+    ]
+
+
 def test_solve_without_k_solves_each_span_once(tmp_path, capsys, monkeypatch):
     import plabel.solvers as solvers
 
@@ -77,6 +88,16 @@ def test_list_solve(star3_file, tmp_path, capsys):
     code = main(["list-solve", "--graph", star3_file, "--lists", str(lists)])
     assert code == 0
     assert "labelled" in capsys.readouterr().out
+
+
+def test_list_solve_infeasible_writes_no_labelling(star3_file, tmp_path, capsys):
+    # K_{1,3} at p = 2 needs five colors, so lists 0..3 leave it unlabelled
+    lists, out = tmp_path / "lists.json", tmp_path / "lab.json"
+    lists.write_text(lists_to_json(2, full_lists(make_star(3), range(4))))
+    assert main(["list-solve", "--graph", star3_file, "--lists", str(lists),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "infeasible (0 nodes)\n"
+    assert not out.exists()
 
 
 def test_choosability_witness_and_recheck(star3_file, tmp_path, capsys):
@@ -151,6 +172,41 @@ def test_recheck_rejects_a_forged_record(tmp_path, capsys, n, args, forged, mess
     capsys.readouterr()
     assert main(["recheck", str(cert_path)]) == 1
     assert capsys.readouterr().out == f"FAILED: replay gives {message}\n"
+
+
+_STAR3_WITNESS = ("--p", "2", "--k", "4", "--budget", "50")
+
+
+@pytest.mark.parametrize("graph, args, forge, message", [
+    (make_star(3), _STAR3_WITNESS,
+     lambda obj: {"assignment": {**obj["assignment"], "v:0": [0, 1, 2, 9]}},
+     "list for v:0 leaves the universe"),
+    (make_star(3), _STAR3_WITNESS,
+     lambda obj: {"assignment": {x: c for x, c in obj["assignment"].items() if x != "v:3"}},
+     "assignment misses 1 elements"),
+    (make_star(3), _STAR3_WITNESS,
+     lambda obj: {"assignment": {x: [4, 5, 6, 7] if x.startswith("e:") else [0, 1, 2, 3]
+                                 for x in obj["assignment"]}},
+     "embedded assignment is labelable after all"),
+    (make_path(2), _CERTIFY_P2, lambda obj: {"k": 2}, "re-certification found a witness"),
+    (make_path(2), _CERTIFY_P2, lambda obj: {"checked": obj["checked"] + 1},
+     "checked-count mismatch: 3650 != 3651"),
+    (make_path(3), ("--p", "2", "--k", "5", "--budget", "3"),
+     lambda obj: {"checked": obj["checked"] - 1},
+     "replay disagrees with the exhaustion record"),
+], ids=["witness-universe", "witness-missing", "witness-labelable", "certified-witness",
+        "certified-count", "exhausted-count"])
+def test_recheck_names_each_forgery(tmp_path, capsys, graph, args, forge, message):
+    # each recheck branch that refuses a record, reached by one forged field
+    gfile = tmp_path / "graph.txt"
+    gfile.write_text(emit_edge_list(graph))
+    cert_path = tmp_path / "cert.json"
+    assert main(["choosability", "--graph", str(gfile), *args, "--out", str(cert_path)]) == 0
+    obj = json.loads(cert_path.read_text())
+    cert_path.write_text(json.dumps({**obj, **forge(obj)}))
+    capsys.readouterr()
+    assert main(["recheck", str(cert_path)]) == 1
+    assert capsys.readouterr().out == f"FAILED: {message}\n"
 
 
 def test_choosability_exhaustive(tmp_path, capsys):
@@ -266,6 +322,16 @@ def test_oracle_command(tmp_path, capsys):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["ok"] is True
+
+
+def test_oracle_prints_each_failing_check(capsys):
+    # the tabulated p+3 colors is false for paths at p = 1, which need 3
+    assert main(["oracle", "--p-min", "1", "--p-max", "1", "--size-max", "4"]) == 1
+    assert capsys.readouterr().out == (
+        "12/14 checks passed\n"
+        "FAIL path-color-count [oracle-path-k03-p1]: expected 4, got 3\n"
+        "FAIL path-color-count [oracle-path-k04-p1]: expected 4, got 3\n"
+    )
 
 
 def test_oracle_rejects_p_below_1(capsys):

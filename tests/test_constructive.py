@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 import re
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -397,23 +397,25 @@ def test_protection_moves_to_an_edge_with_exactly_n_minus_i_colors():
     # that forces the protected edge, so the routine is called directly.
     remaining = {10: 0b11001, 11: 0b00110, 12: 0b00110}
     expected = {10: 0, 12: 1, 11: 2}
-    assert constructive._protected_edge_coloring(dict(remaining), 3) == expected
+    assert constructive._protected_edge_coloring(dict(remaining)) == expected
     ranks = {e: {i for i in range(5) if mask >> i & 1} for e, mask in remaining.items()}
     assert _set_protected_edge_coloring(list(remaining), ranks, 3) == expected
 
 
 def test_star_list_matches_the_former_set_routine():
-    # n = 3..8 and p = 2..4 on lists from 0-based, shifted, gapped, huge and
-    # sparse colors, every 7th list one short; also p = 1, two leaves and a
-    # path, which both must refuse with the same message
+    # n = 3..8 and p = 2..4, center at vertex 0 and at another vertex, on
+    # lists from 0-based, shifted, gapped, huge and sparse colors, every 7th
+    # list one short; also p = 1, two leaves and a path, which both must
+    # refuse with the same message
     rng = random.Random(SEED + 5)
     universes = (lambda span, rng: range(span), *_COLOR_UNIVERSES)
     outcomes = {"labelled": 0, "error": 0}
     trial = 0
     for p in (2, 3, 4):
         for n in range(3, 9):
-            g = make_star(n)
-            for universe in universes:
+            center = 1 + (n + p) % n
+            moved = Graph(n + 1, [(center, v) for v in range(n + 1) if v != center])
+            for g, universe in product((make_star(n), moved), universes):
                 for _ in range(14):
                     trial += 1
                     k = n + 2 * p - 1 - (trial % 7 == 0)

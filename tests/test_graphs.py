@@ -1,4 +1,5 @@
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given
@@ -155,9 +156,9 @@ def test_graph6_cross_check_against_networkx():
     nx = pytest.importorskip("networkx")
     import random
 
+    # 60 small graphs, then the four-byte size field of n >= 63
     rng = random.Random(5)
-    for trial in range(60):
-        n = rng.randrange(1, 12)
+    for n in chain((rng.randrange(1, 12) for _ in range(60)), range(63, 71), [100]):
         edges = [
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4
         ]
@@ -172,6 +173,8 @@ def test_graph6_cross_check_against_networkx():
         assert set(back.nodes) == set(range(n))
         assert {tuple(sorted(e)) for e in back.edges} == set(g.edges)
         assert parse_graph6(theirs) == g
+        assert parse_graph6(nx.to_graph6_bytes(h).decode()) == g  # with the >>graph6<< header
+        assert mine.startswith("~") == (n >= 63)
 
 
 def test_graph6_errors():
@@ -181,6 +184,10 @@ def test_graph6_errors():
         parse_graph6("B")  # missing body
     with pytest.raises(GraphParseError):
         parse_graph6("Bw\x19")
+    with pytest.raises(GraphParseError, match="^graph6 long-long form not supported$"):
+        parse_graph6("~~??????")
+    with pytest.raises(GraphParseError, match="^truncated graph6 size field$"):
+        parse_graph6("~?")
 
 
 @given(st.integers(0, 20), st.integers(0, 2**30))
